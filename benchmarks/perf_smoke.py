@@ -1,25 +1,27 @@
 """CI perf smoke: a reduced fig5 sweep must stay within 2x of its record.
 
 Standalone (``python benchmarks/perf_smoke.py``): runs the fig5 latency
-experiment at a reduced scale (two workloads, short traces) under the
-event kernel *and* the batched kernel (``REPRO_KERNEL_MODE=batch``),
-appends both wall-clocks to the ``bench_results/BENCH_fig5.json``
-trajectory with ``config: "smoke"``, and exits non-zero if either leg
-regressed by more than :data:`REGRESSION_FACTOR` against the best
-previous *cold* smoke entry **for the same kernel mode**.  Only like
+experiment at a reduced scale (two workloads, short traces) twice under
+the event kernel — once with the native router sweep
+(:mod:`repro.noc.native`, the default) and once with every router forced
+onto the Python sweep (``native_sweep=False``) — appends both
+wall-clocks to the ``bench_results/BENCH_fig5.json`` trajectory with
+``config: "smoke"`` and a ``sweep`` tag, and exits non-zero if either
+leg regressed by more than :data:`REGRESSION_FACTOR` against the best
+previous *cold* smoke entry **for the same kernel and sweep** (entries
+from before the native sweep existed count as ``python``).  Only like
 configurations are compared — the smoke record never gates the full
-bench configuration or vice versa, and the event record never gates the
-batch leg.
+bench configuration or vice versa.  Both legs fan the grid out over a
+process pool, as ``fig5()`` does.
 
-The batch leg is also a correctness gate: every spec in the smoke grid
-must produce the same counter snapshot (modulo the scheduler-internal
-``kernel`` stat group), cycle count and miss latency under both kernels.
-A divergence exits non-zero immediately — digest drift is a bug, never
-a perf trade.
+The Python leg is also a correctness gate: every spec in the smoke grid
+must produce the same counter snapshot, cycle count and miss latency on
+both sweeps.  A divergence exits non-zero immediately — digest drift is
+a bug, never a perf trade.
 
 On top of the saturated smoke grid, a mostly-idle 16x16 mesh (the sparse
-configuration: 256 cores, a few dozen accesses each) is timed under both
-kernels and written to ``bench_results/BENCH_sparse.json`` — the regime
+configuration: 256 cores, a few dozen accesses each) is timed on both
+sweeps and written to ``bench_results/BENCH_sparse.json`` — the regime
 where active-set sweeps matter more than per-stage cost.
 
 The 2x headroom absorbs host-speed variance between the machine that
@@ -36,6 +38,8 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,10 +55,14 @@ SPARSE_ACCESSES = 40
 SPARSE_SCHEMES = ("baseline", "disco")
 
 
-def best_cold_smoke_seconds(kernel: str = "event") -> float:
-    """The fastest cold smoke run on record for ``kernel`` (the
-    regression reference).  Entries predating the kernel tag were all
-    event-mode runs."""
+SWEEPS = ("native", "python")
+
+
+def best_cold_smoke_seconds(kernel: str = "event", sweep: str = "python") -> float:
+    """The fastest cold smoke run on record for ``kernel`` and ``sweep``
+    (the regression reference).  Entries predating the kernel tag were
+    all event-mode runs, and entries predating the sweep tag all ran the
+    Python sweep."""
     path = os.path.join(_results_dir(), "BENCH_fig5.json")
     try:
         with open(path) as handle:
@@ -67,6 +75,7 @@ def best_cold_smoke_seconds(kernel: str = "event") -> float:
         if run.get("config") == "smoke"
         and not run.get("cache_hit")
         and run.get("kernel", "event") == kernel
+        and run.get("sweep", "python") == sweep
     ]
     return min(cold) if cold else 0.0
 
@@ -86,32 +95,50 @@ def _smoke_grid():
 
 
 def _comparable(result):
-    """Everything a kernel mode must not change: the full counter
-    snapshot minus the scheduler's own ``kernel`` stat group."""
-    snapshot = result.snapshot_full
+    """Everything the router sweep must not change: the full counter
+    snapshot, cycle count and miss latency."""
     return (
-        {g: snapshot[g] for g in snapshot if g != "kernel"},
+        dict(result.snapshot_full),
         result.cycles,
         result.avg_miss_latency,
     )
 
 
-def _run_smoke_leg(kernel: str):
-    """One cold fig5 smoke sweep under ``kernel``; returns
-    (wall, cache_hit, fig5_result, per-spec comparables)."""
-    from repro.experiments.fig5 import fig5
-    from repro.experiments.runner import run_spec, simulated_runs
+def _run_smoke_leg(sweep: str):
+    """One cold fig5 smoke sweep on ``sweep``; returns (wall, cache_hit,
+    per-spec comparables).
 
-    os.environ["REPRO_KERNEL_MODE"] = kernel
-    before = simulated_runs()
-    start = time.perf_counter()
-    result = fig5(workloads=SMOKE_WORKLOADS, accesses_per_core=SMOKE_ACCESSES)
-    wall = time.perf_counter() - start
-    cache_hit = simulated_runs() == before
-    # Memo readbacks (the sweep above just populated the mode-keyed cache).
+    The native leg is ``fig5()`` itself (cache misses fan out over the
+    runner's pool).  The Python leg fans the same grid out over a pool
+    of the same size through ``runner._simulate(native_sweep=False)``,
+    which bypasses the caches, so it is always cold.
+    """
+    from repro.experiments.fig5 import fig5
+    from repro.experiments.runner import (
+        _simulate, default_jobs, run_spec, simulated_runs,
+    )
+
+    grid = _smoke_grid()
+    if sweep == "native":
+        before = simulated_runs()
+        start = time.perf_counter()
+        result = fig5(workloads=SMOKE_WORKLOADS,
+                      accesses_per_core=SMOKE_ACCESSES)
+        wall = time.perf_counter() - start
+        cache_hit = simulated_runs() == before
+        # Memo readbacks (the sweep above just populated the cache).
+        results = [run_spec(spec) for spec in grid]
+        note = f", disco vs cc {result.improvement_of_disco_over('cc'):+.1%}"
+    else:
+        start = time.perf_counter()
+        with ProcessPoolExecutor(max_workers=min(default_jobs(), len(grid))) as pool:
+            results = list(pool.map(partial(_simulate, native_sweep=False), grid))
+        wall = time.perf_counter() - start
+        cache_hit = False
+        note = ""
     comparables = {
-        (spec.scheme, spec.workload): _comparable(run_spec(spec))
-        for spec in _smoke_grid()
+        (spec.scheme, spec.workload): _comparable(result)
+        for spec, result in zip(grid, results)
     }
     append_bench_fig5(
         config="smoke",
@@ -120,42 +147,42 @@ def _run_smoke_leg(kernel: str):
         extra={
             "workloads": list(SMOKE_WORKLOADS),
             "accesses_per_core": SMOKE_ACCESSES,
+            "sweep": sweep,
         },
     )
-    print(f"perf smoke [{kernel}]: {wall:.2f}s "
-          f"({'cache hit' if cache_hit else 'cold'}), "
-          f"disco vs cc {result.improvement_of_disco_over('cc'):+.1%}")
-    return wall, cache_hit, result, comparables
+    print(f"perf smoke [{sweep}]: {wall:.2f}s "
+          f"({'cache hit' if cache_hit else 'cold'}){note}")
+    return wall, cache_hit, comparables
 
 
-def _gate(kernel: str, wall: float, cache_hit: bool) -> int:
+def _gate(sweep: str, wall: float, cache_hit: bool, reference: float) -> int:
+    """Gate one leg against ``reference``, the best record read *before*
+    the leg appended its own entry."""
     if cache_hit:
-        print(f"perf smoke [{kernel}]: run was served from cache; "
+        print(f"perf smoke [{sweep}]: run was served from cache; "
               f"nothing to gate")
         return 0
-    reference = best_cold_smoke_seconds(kernel)
     if not reference:
-        print(f"perf smoke [{kernel}]: no cold smoke reference on record; "
+        print(f"perf smoke [{sweep}]: no cold smoke reference on record; "
               f"this run becomes the reference")
         return 0
     limit = reference * REGRESSION_FACTOR
-    print(f"perf smoke [{kernel}]: reference {reference:.2f}s, "
+    print(f"perf smoke [{sweep}]: reference {reference:.2f}s, "
           f"limit {limit:.2f}s")
     if wall > limit:
-        print(f"perf smoke [{kernel}]: REGRESSION — {wall:.2f}s exceeds "
+        print(f"perf smoke [{sweep}]: REGRESSION — {wall:.2f}s exceeds "
               f"{REGRESSION_FACTOR:.0f}x the {reference:.2f}s reference")
         return 1
     return 0
 
 
 def run_sparse() -> dict:
-    """Time the mostly-idle 16x16 mesh under both kernels (always cold:
+    """Time the mostly-idle 16x16 mesh on both sweeps (always cold:
     goes through ``runner._simulate`` directly, no caches)."""
     from repro.experiments.runner import RunSpec, _simulate
 
     runs = []
-    for kernel in ("event", "batch"):
-        os.environ["REPRO_KERNEL_MODE"] = kernel
+    for sweep in SWEEPS:
         for scheme in SPARSE_SCHEMES:
             spec = RunSpec(
                 scheme=scheme, workload="blackscholes",
@@ -163,21 +190,22 @@ def run_sparse() -> dict:
                 accesses_per_core=SPARSE_ACCESSES,
             )
             start = time.perf_counter()
-            result = _simulate(spec)
+            result = _simulate(spec, native_sweep=sweep == "native")
             wall = time.perf_counter() - start
             runs.append({
-                "kernel": kernel,
+                "kernel": "event",
+                "sweep": sweep,
                 "scheme": scheme,
                 "wall_seconds": round(wall, 3),
                 "cycles": result.cycles,
             })
-            print(f"sparse [{kernel}/{scheme}]: {wall:.2f}s, "
+            print(f"sparse [{sweep}/{scheme}]: {wall:.2f}s, "
                   f"{result.cycles} cycles")
-    by_kernel = {
-        kernel: sum(
-            run["wall_seconds"] for run in runs if run["kernel"] == kernel
+    by_sweep = {
+        sweep: sum(
+            run["wall_seconds"] for run in runs if run["sweep"] == sweep
         )
-        for kernel in ("event", "batch")
+        for sweep in SWEEPS
     }
     payload = {
         "description": (
@@ -187,45 +215,39 @@ def run_sparse() -> dict:
             f"schemes {list(SPARSE_SCHEMES)}, cold (uncached) runs"
         ),
         "runs": runs,
-        "total_seconds": {k: round(v, 3) for k, v in by_kernel.items()},
-        "speedup_batch_vs_event": round(
-            by_kernel["event"] / by_kernel["batch"], 3
-        ) if by_kernel["batch"] else None,
+        "total_seconds": {k: round(v, 3) for k, v in by_sweep.items()},
+        "speedup_native_vs_python": round(
+            by_sweep["python"] / by_sweep["native"], 3
+        ) if by_sweep["native"] else None,
     }
     save_json("BENCH_sparse", payload)
-    print(f"sparse: event {by_kernel['event']:.2f}s, "
-          f"batch {by_kernel['batch']:.2f}s "
-          f"({payload['speedup_batch_vs_event']}x)")
+    print(f"sparse: native {by_sweep['native']:.2f}s, "
+          f"python {by_sweep['python']:.2f}s "
+          f"({payload['speedup_native_vs_python']}x)")
     return payload
 
 
 def main() -> int:
-    saved_mode = os.environ.get("REPRO_KERNEL_MODE")
     status = 0
-    try:
-        event_wall, event_hit, _result, event_cmp = _run_smoke_leg("event")
-        status |= _gate("event", event_wall, event_hit)
+    legs = {}
+    for sweep in SWEEPS:
+        reference = best_cold_smoke_seconds("event", sweep)
+        wall, cache_hit, legs[sweep] = _run_smoke_leg(sweep)
+        status |= _gate(sweep, wall, cache_hit, reference)
 
-        batch_wall, batch_hit, _result, batch_cmp = _run_smoke_leg("batch")
-        status |= _gate("batch", batch_wall, batch_hit)
+    # Correctness gate: the Python sweep must be bit-identical to the
+    # native one on every spec of the grid.
+    native, python = legs["native"], legs["python"]
+    diverged = [key for key in native if python[key] != native[key]]
+    if diverged:
+        print(f"perf smoke: DIGEST DIVERGENCE — the Python sweep differs "
+              f"from the native one on {diverged}")
+        status |= 1
+    else:
+        print(f"perf smoke: Python-sweep counters identical to native on "
+              f"all {len(native)} smoke specs")
 
-        # Correctness gate: batch must be bit-identical to event on every
-        # spec of the grid (modulo the scheduler's own stat group).
-        diverged = [key for key in event_cmp if batch_cmp[key] != event_cmp[key]]
-        if diverged:
-            print(f"perf smoke: DIGEST DIVERGENCE — batch kernel differs "
-                  f"from event on {diverged}")
-            status |= 1
-        else:
-            print(f"perf smoke: batch digests identical to event on all "
-                  f"{len(event_cmp)} smoke specs")
-
-        run_sparse()
-    finally:
-        if saved_mode is None:
-            os.environ.pop("REPRO_KERNEL_MODE", None)
-        else:
-            os.environ["REPRO_KERNEL_MODE"] = saved_mode
+    run_sparse()
     return status
 
 

@@ -9,8 +9,10 @@ for each group without running a single simulation::
     python benchmarks/sentinel.py --threshold 1.5
     python benchmarks/sentinel.py --json         # machine-readable
 
-A *group* is one comparable configuration: ``(config, kernel)`` for the
-fig5-style trajectory, ``(kernel, scheme)`` for the sparse one.  Within
+A *group* is one comparable configuration: ``(config, kernel, sweep)``
+for the fig5-style trajectory, ``(kernel, sweep, scheme)`` for the
+sparse one (``sweep`` is the router sweep, ``native`` or ``python``;
+entries from before it was recorded count as ``python``).  Within
 a group only **cold** runs count (a cache-hit run times a dict lookup);
 the newest cold run is the candidate and the fastest *earlier* cold run
 is the reference.  The verdict is::
@@ -51,10 +53,12 @@ def _group_key(run: Dict) -> Optional[Tuple]:
         return None
     if run.get("cache_hit"):
         return None  # a cache-hit run measured a dict lookup
+    kernel = run.get("kernel", "event")
+    sweep = run.get("sweep", "python")
     if "config" in run:
-        return ("config", run["config"], run.get("kernel", "event"))
+        return ("config", run["config"], kernel, sweep)
     if "scheme" in run:
-        return ("scheme", run.get("kernel", "event"), run["scheme"])
+        return ("scheme", kernel, sweep, run["scheme"])
     return None
 
 

@@ -245,7 +245,10 @@ class CmpSystem:
         traces: TraceSet,
         warmup_fraction: float = 0.0,
         prefill: bool = True,
+        native_sweep: bool = True,
     ):
+        """``native_sweep=False`` keeps the routers on the Python sweep
+        (see :class:`~repro.noc.network.Network`); results are identical."""
         if traces.n_cores != config.n_cores:
             raise ValueError(
                 f"trace set has {traces.n_cores} cores, "
@@ -273,7 +276,8 @@ class CmpSystem:
                 scheme.disco, self.algorithm
             )
         self.network = Network(
-            config.noc, router_factory=router_factory, kernel=self.kernel
+            config.noc, router_factory=router_factory, kernel=self.kernel,
+            native_sweep=native_sweep,
         )
         self.network.set_delivery_handler(self._on_packet)
         self.network.packet_priority = (

@@ -16,6 +16,7 @@ very idle time the arbitrator then exploits.
 from __future__ import annotations
 
 from repro.noc.flit import Packet, PacketType
+from repro.noc.network import constant_priority
 
 #: Normal priority for critical-path traffic.
 PRIORITY_NORMAL = 1
@@ -23,6 +24,7 @@ PRIORITY_NORMAL = 1
 PRIORITY_DEMOTED = 0
 
 
+@constant_priority
 def baseline_priority(packet: Packet) -> int:
     """Conventional scheduling: all packets equal (round-robin breaks ties)."""
     return PRIORITY_NORMAL

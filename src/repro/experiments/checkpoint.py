@@ -195,12 +195,13 @@ def discard_checkpoints(key: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def build_system(spec) -> CmpSystem:
+def build_system(spec, native_sweep: bool = True) -> CmpSystem:
     """A fresh, un-run system for ``spec``, ready for :meth:`load_state`.
 
     Mirrors the runner's ``_simulate`` construction — same config, scheme,
     traces and algorithm training — with ``prefill=False``: the restored
     state carries the LLC contents, so prefilling would only burn time.
+    ``native_sweep`` picks the router sweep (results are identical).
     """
     from repro.cmp.schemes import make_scheme
     from repro.experiments.runner import _train_if_needed
@@ -221,6 +222,7 @@ def build_system(spec) -> CmpSystem:
         traces,
         warmup_fraction=spec.warmup_fraction,
         prefill=False,
+        native_sweep=native_sweep,
     )
     _train_if_needed(system, spec)
     return system

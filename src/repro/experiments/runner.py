@@ -79,6 +79,7 @@ from repro.telemetry.profiler import (
     render_profile,
     write_profile,
 )
+from repro.sim.kernel import kernel_mode_from_env
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import generate_traces
 
@@ -278,14 +279,14 @@ def _source_fingerprint() -> str:
 
 
 def _kernel_mode() -> str:
-    """The active scheduler mode (``event``, ``tick`` or ``batch``).
+    """The active scheduler mode (``event`` or ``tick``; any other
+    ``REPRO_KERNEL_MODE`` raises, naming the value).
 
     Part of every cache key — memo and disk — so results produced under
     one ``REPRO_KERNEL_MODE`` can never alias another mode's results
     (their payloads are bit-identical by design, but the invariance tests
     that *prove* that must observe genuinely independent runs)."""
-    mode = os.environ.get("REPRO_KERNEL_MODE", "event")
-    return mode if mode in ("tick", "batch") else "event"
+    return kernel_mode_from_env()
 
 
 def spec_key(spec: RunSpec) -> str:
@@ -534,10 +535,12 @@ def _simulate(
     spec: RunSpec,
     verbose: bool = False,
     correlation: Optional[str] = None,
+    native_sweep: bool = True,
 ) -> SimulationResult:
     """Build and run one simulation (no caches — the pool workers' entry
     point, importable at module top level so specs pickle across
-    processes).
+    processes).  ``native_sweep=False`` keeps the routers on the Python
+    sweep; the result is identical either way.
 
     ``correlation`` is the service's submit-time id: bound as the log
     context for the whole run (every worker-side record carries it) and
@@ -548,11 +551,12 @@ def _simulate(
     if correlation is None:
         correlation = current_correlation()
     with correlation_scope(correlation):
-        return _simulate_in_scope(spec, verbose, correlation)
+        return _simulate_in_scope(spec, verbose, correlation, native_sweep)
 
 
 def _simulate_in_scope(
-    spec: RunSpec, verbose: bool, correlation: Optional[str]
+    spec: RunSpec, verbose: bool, correlation: Optional[str],
+    native_sweep: bool = True,
 ) -> SimulationResult:
     _maybe_inject_runner_fault(spec)
     _log_simulation(spec)
@@ -566,7 +570,8 @@ def _simulate_in_scope(
         line_size=config.line_size,
     )
     system = CmpSystem(
-        config, scheme, traces, warmup_fraction=spec.warmup_fraction
+        config, scheme, traces, warmup_fraction=spec.warmup_fraction,
+        native_sweep=native_sweep,
     )
     _train_if_needed(system, spec)
     if spec.profile_run:

@@ -1,0 +1,389 @@
+/*
+ * Native router sweep: the plain router's SA/ST and VA stages over the
+ * fabric's struct-of-arrays plane (repro.noc.fabric_state).
+ *
+ * Plain C99, no Python headers.  repro.noc.native compiles this file
+ * once into a shared library, loads it with ctypes and calls
+ * repro_sweep() once per run of consecutive plain routers in the
+ * net.routers phase.  The C side owns every array update of switch
+ * allocation, switch traversal (tail release included) and VC
+ * allocation; everything that touches Python objects is written to an
+ * ordered event buffer the caller replays: link arrivals, ejections,
+ * unbinding of released VCs and route computation.
+ *
+ * The arithmetic mirrors Router._switch_allocation, _send_flit and
+ * _vc_allocation line for line; tests/test_native_sweep.py holds the
+ * two paths to identical counters and digests.  A VC is "bound" (holds
+ * a packet) exactly when its state is not VC_IDLE: the caller keeps that
+ * invariant, so the C side never needs to see the packet objects.
+ */
+
+#include <stdint.h>
+
+#define SWEEP_ABI 1
+
+#define VC_IDLE 0
+#define VC_ROUTING 1
+#define VC_VA 2
+#define VC_ACTIVE 3
+
+#define PORT_LOCAL 0
+
+/* Largest router this file handles; bigger fabrics use the Python sweep. */
+#define MAX_ROUTER_VCS 512
+
+/* Descriptor slots: array addresses first, then scalars. */
+enum {
+    D_STATE, D_FLITS_PRESENT, D_FLITS_RECEIVED, D_FLITS_SENT, D_INCOMING,
+    D_RESERVED, D_OUT_PORT, D_OUT_VC_CLASS, D_OUT_VC, D_WAIT_CYCLES,
+    D_CREDIT_DEBT, D_WEDGED_UNTIL, D_EJECT_TOKENS, D_PKT_SIZE, D_PKT_VNET,
+    D_SA_RR, D_VC_BASE, D_PORT_BASE, D_RADIX, D_DOWN_VID, D_VA_MASK,
+    D_VCS_PER_PORT, D_DEPTH, D_SAF, D_WHOLE_PACKET, D_RR_STRIDE, D_LEN
+};
+
+/* Counter slots, rewritten by every call. */
+enum { C_TICKED, C_SENDS, C_LINK_FLITS, C_VA_GRANTS, C_SA_LOSSES, C_ERR_VID, C_LEN };
+
+/* Event codes: (code, vid, target vid) triples. */
+#define EV_ROUTE 1
+#define EV_SEND 2
+#define EV_HEAD 4
+#define EV_TAIL 8
+#define EV_EJECT 16
+
+/* Negative return values: the caller raises the Python path's error. */
+#define ERR_TAIL_BUFFERED (-1)
+#define ERR_PACKET_TOO_BIG (-2)
+#define ERR_NO_NEIGHBOR (-3)
+#define ERR_ROUTER_TOO_BIG (-4)
+
+typedef struct {
+    int64_t *state, *flits_present, *flits_received, *flits_sent, *incoming;
+    int64_t *reserved, *out_port, *out_vc_class, *out_vc, *wait_cycles;
+    int64_t *credit_debt, *wedged_until, *eject_tokens, *pkt_size, *pkt_vnet;
+    int64_t *sa_rr;
+    const int64_t *vc_base, *port_base, *radix, *down_vid, *va_mask;
+    int64_t vcs_per_port, depth, saf, whole_packet, rr_stride;
+} fabric;
+
+static int64_t *ptr(const int64_t *desc, int slot)
+{
+    return (int64_t *)(intptr_t)desc[slot];
+}
+
+static void unpack(const int64_t *d, fabric *f)
+{
+    f->state = ptr(d, D_STATE);
+    f->flits_present = ptr(d, D_FLITS_PRESENT);
+    f->flits_received = ptr(d, D_FLITS_RECEIVED);
+    f->flits_sent = ptr(d, D_FLITS_SENT);
+    f->incoming = ptr(d, D_INCOMING);
+    f->reserved = ptr(d, D_RESERVED);
+    f->out_port = ptr(d, D_OUT_PORT);
+    f->out_vc_class = ptr(d, D_OUT_VC_CLASS);
+    f->out_vc = ptr(d, D_OUT_VC);
+    f->wait_cycles = ptr(d, D_WAIT_CYCLES);
+    f->credit_debt = ptr(d, D_CREDIT_DEBT);
+    f->wedged_until = ptr(d, D_WEDGED_UNTIL);
+    f->eject_tokens = ptr(d, D_EJECT_TOKENS);
+    f->pkt_size = ptr(d, D_PKT_SIZE);
+    f->pkt_vnet = ptr(d, D_PKT_VNET);
+    f->sa_rr = ptr(d, D_SA_RR);
+    f->vc_base = ptr(d, D_VC_BASE);
+    f->port_base = ptr(d, D_PORT_BASE);
+    f->radix = ptr(d, D_RADIX);
+    f->down_vid = ptr(d, D_DOWN_VID);
+    f->va_mask = ptr(d, D_VA_MASK);
+    f->vcs_per_port = d[D_VCS_PER_PORT];
+    f->depth = d[D_DEPTH];
+    f->saf = d[D_SAF];
+    f->whole_packet = d[D_WHOLE_PACKET];
+    f->rr_stride = d[D_RR_STRIDE];
+}
+
+int64_t repro_sweep_abi(void)
+{
+    return SWEEP_ABI;
+}
+
+/* Router.has_work: a bound VC, a flit in flight toward it, or a reservation. */
+static int has_work(const fabric *f, int64_t lo, int64_t hi)
+{
+    for (int64_t i = lo; i < hi; i++) {
+        if (f->state[i] != VC_IDLE || f->incoming[i] || f->reserved[i])
+            return 1;
+    }
+    return 0;
+}
+
+static void emit(int64_t *events, int64_t *n_ev, int64_t code, int64_t vid,
+                 int64_t target)
+{
+    int64_t *e = events + 3 * *n_ev;
+    e[0] = code;
+    e[1] = vid;
+    e[2] = target;
+    (*n_ev)++;
+}
+
+/* Router._send_flit for a plain router (no hooks, no tracer). */
+static int64_t send_flit(const fabric *f, int64_t node, int64_t i,
+                         int64_t *events, int64_t *n_ev, int64_t *counters)
+{
+    f->flits_present[i]--;
+    int64_t sent = ++f->flits_sent[i];
+    counters[C_SENDS]++;
+    int64_t code = EV_SEND;
+    if (sent == 1)
+        code |= EV_HEAD;
+    int tail = sent == f->pkt_size[i];
+    if (tail)
+        code |= EV_TAIL;
+    int64_t target = -1;
+    if (f->out_port[i] == PORT_LOCAL) {
+        f->eject_tokens[node]--;
+        code |= EV_EJECT;
+    } else {
+        target = f->out_vc[i];
+        f->incoming[target]++;
+        counters[C_LINK_FLITS]++;
+    }
+    emit(events, n_ev, code, i, target);
+    if (tail) {
+        if (f->flits_present[i] != 0) {
+            counters[C_ERR_VID] = i;
+            return ERR_TAIL_BUFFERED;
+        }
+        /* InputVC.release; the caller drops the packet and unbinds. */
+        f->state[i] = VC_IDLE;
+        f->flits_received[i] = 0;
+        f->flits_sent[i] = 0;
+        f->out_port[i] = -1;
+        f->out_vc_class[i] = -1;
+        f->out_vc[i] = -1;
+        f->wait_cycles[i] = 0;
+    }
+    return 0;
+}
+
+/* Router._switch_allocation under a constant priority policy: round
+ * robin per output port, output ports in ascending order, one winner
+ * per input port. */
+static int64_t switch_allocation(const fabric *f, int64_t node, int64_t now,
+                                 const int64_t *sa, int64_t n_sa,
+                                 int64_t *events, int64_t *n_ev,
+                                 int64_t *counters)
+{
+    const int64_t lo = f->vc_base[node];
+    const int64_t radix = f->radix[node];
+    const int64_t vpp = f->vcs_per_port;
+    const int64_t depth = f->depth;
+    const int eject_ok = f->eject_tokens[node] > 0;
+    int64_t req[MAX_ROUTER_VCS];
+    int64_t n_req = 0;
+    uint64_t ports = 0;
+
+    for (int64_t k = 0; k < n_sa; k++) {
+        int64_t i = sa[k];
+        int64_t out = f->out_port[i];
+        int ok;
+        if (f->wedged_until[i] > now) {
+            ok = 0; /* fault-injected wedge */
+        } else if (f->saf && f->flits_received[i] < f->pkt_size[i]) {
+            ok = 0;
+        } else if (out == PORT_LOCAL) {
+            ok = eject_ok;
+        } else {
+            int64_t t = f->out_vc[i];
+            ok = depth - f->flits_present[t] - f->incoming[t]
+                 - f->credit_debt[t] > 0;
+        }
+        if (!ok) {
+            f->wait_cycles[i]++;
+        } else {
+            req[n_req++] = i;
+            ports |= (uint64_t)1 << out;
+        }
+    }
+    if (n_req == 0)
+        return 0;
+
+    const int64_t stride = f->rr_stride;
+    const int64_t span = stride * (radix > 8 ? radix : 8);
+    int64_t *rr = f->sa_rr + f->port_base[node];
+    int64_t winners[64];
+    int64_t n_win = 0;
+    uint64_t used = 0;
+    for (int64_t out = 0; out < radix; out++) {
+        if (!((ports >> out) & 1))
+            continue;
+        int64_t pointer = rr[out];
+        int64_t best = -1, best_key = 0, best_dist = 0;
+        for (int64_t k = 0; k < n_req; k++) {
+            int64_t i = req[k];
+            if (f->out_port[i] != out)
+                continue;
+            int64_t local = i - lo;
+            int64_t in_port = local / vpp;
+            if ((used >> in_port) & 1)
+                continue;
+            int64_t key = in_port * stride + local % vpp;
+            int64_t dist = ((key - pointer) % span + span) % span;
+            if (best < 0 || dist < best_dist) {
+                best = i;
+                best_key = key;
+                best_dist = dist;
+            }
+        }
+        if (best >= 0) {
+            used |= (uint64_t)1 << ((best - lo) / vpp);
+            winners[n_win++] = best;
+            rr[out] = (best_key + 1) % span;
+        }
+        for (int64_t k = 0; k < n_req; k++) {
+            int64_t i = req[k];
+            if (f->out_port[i] == out && i != best) {
+                f->wait_cycles[i]++;
+                counters[C_SA_LOSSES]++;
+            }
+        }
+    }
+    for (int64_t w = 0; w < n_win; w++) {
+        int64_t err = send_flit(f, node, winners[w], events, n_ev, counters);
+        if (err)
+            return err;
+    }
+    return 0;
+}
+
+/* Router._vc_allocation against the neighbour's input-port VCs. */
+static int64_t vc_allocation(const fabric *f, int64_t node,
+                             const int64_t *va, int64_t n_va,
+                             int64_t *counters)
+{
+    const int64_t vpp = f->vcs_per_port;
+    const int64_t depth = f->depth;
+    const int64_t pbase = f->port_base[node];
+    for (int64_t k = 0; k < n_va; k++) {
+        int64_t i = va[k];
+        int64_t out = f->out_port[i];
+        if (out == PORT_LOCAL) {
+            f->state[i] = VC_ACTIVE;
+            counters[C_VA_GRANTS]++;
+            continue;
+        }
+        int64_t size = f->pkt_size[i];
+        if (f->whole_packet && size > depth) {
+            counters[C_ERR_VID] = i;
+            return ERR_PACKET_TOO_BIG;
+        }
+        int64_t base = f->down_vid[pbase + out];
+        if (base < 0) {
+            counters[C_ERR_VID] = i;
+            return ERR_NO_NEIGHBOR;
+        }
+        int64_t cls = f->out_vc_class[i];
+        int64_t ci = cls == -1 ? 0 : (cls == 0 ? 1 : 2);
+        uint64_t mask = (uint64_t)f->va_mask[f->pkt_vnet[i] * 3 + ci];
+        int64_t target = -1;
+        for (int64_t v = 0; v < vpp; v++) {
+            if (!((mask >> v) & 1))
+                continue;
+            int64_t c = base + v;
+            if (f->state[c] != VC_IDLE || f->reserved[c] || f->incoming[c])
+                continue;
+            if (f->whole_packet) {
+                int64_t slots = depth - f->flits_present[c] - f->incoming[c]
+                                - f->credit_debt[c];
+                if ((slots > 0 ? slots : 0) < size)
+                    continue;
+            }
+            target = c;
+            break;
+        }
+        if (target < 0) {
+            f->wait_cycles[i]++;
+            continue;
+        }
+        f->reserved[target] = 1;
+        f->out_vc[i] = target;
+        f->state[i] = VC_ACTIVE;
+        counters[C_VA_GRANTS]++;
+    }
+    return 0;
+}
+
+/* Router.tick: partition the VCs by stage, then SA/ST, VA, RC. */
+static int64_t tick(const fabric *f, int64_t node, int64_t now,
+                    int64_t *events, int64_t *n_ev, int64_t *counters)
+{
+    const int64_t lo = f->vc_base[node];
+    const int64_t hi = lo + f->radix[node] * f->vcs_per_port;
+    int64_t sa[MAX_ROUTER_VCS], va[MAX_ROUTER_VCS], rc[MAX_ROUTER_VCS];
+    int64_t n_sa = 0, n_va = 0, n_rc = 0;
+    if (hi - lo > MAX_ROUTER_VCS) {
+        counters[C_ERR_VID] = lo;
+        return ERR_ROUTER_TOO_BIG;
+    }
+    for (int64_t i = lo; i < hi; i++) {
+        int64_t s = f->state[i];
+        if (s == VC_ACTIVE) {
+            if (f->flits_present[i])
+                sa[n_sa++] = i;
+        } else if (s == VC_VA) {
+            va[n_va++] = i;
+        } else if (s == VC_ROUTING) {
+            rc[n_rc++] = i;
+        }
+    }
+    if (n_sa) {
+        int64_t err = switch_allocation(f, node, now, sa, n_sa, events, n_ev,
+                                        counters);
+        if (err)
+            return err;
+    }
+    if (n_va) {
+        int64_t err = vc_allocation(f, node, va, n_va, counters);
+        if (err)
+            return err;
+    }
+    /* RC needs Python (routing stays pluggable): after this router's SA
+     * events, exactly where Router.tick runs it. */
+    for (int64_t k = 0; k < n_rc; k++)
+        emit(events, n_ev, EV_ROUTE, rc[k], -1);
+    return 0;
+}
+
+/*
+ * Sweep the routers listed in nodes[0..n_nodes), in order, each exactly
+ * as the kernel's default visit would: skipped when idle, ticked
+ * otherwise.  status[k] gets bit 0 when router k ticked and bit 1 when
+ * it still has work afterwards (the kernel re-arms it for the next
+ * cycle).  Returns the number of event triples written, or a negative
+ * ERR_* code with counters[C_ERR_VID] naming the VC.
+ */
+int64_t repro_sweep(const int64_t *desc, int64_t now, const int64_t *nodes,
+                    int64_t n_nodes, int64_t *status, int64_t *events,
+                    int64_t *counters)
+{
+    fabric f;
+    unpack(desc, &f);
+    for (int k = 0; k < C_LEN; k++)
+        counters[k] = 0;
+    int64_t n_ev = 0;
+    for (int64_t k = 0; k < n_nodes; k++) {
+        int64_t node = nodes[k];
+        int64_t lo = f.vc_base[node];
+        int64_t hi = lo + f.radix[node] * f.vcs_per_port;
+        if (!has_work(&f, lo, hi)) {
+            status[k] = 0;
+            continue;
+        }
+        counters[C_TICKED]++;
+        int64_t err = tick(&f, node, now, events, &n_ev, counters);
+        if (err)
+            return err;
+        status[k] = 1 | (has_work(&f, lo, hi) ? 2 : 0);
+    }
+    return n_ev;
+}

@@ -8,19 +8,12 @@ preallocated flat arrays indexed by a global *VC id*::
 
 The layout is the Siegl/GPU bufferless-NoC idea (arXiv:1508.03235)
 applied to this simulator: router state swept as arrays rather than
-object-at-a-time.  Two access planes share the same memory:
-
-- **scalar plane** — ``array.array('q')`` buffers.  Indexing them from
-  Python is about as fast as a ``__slots__`` attribute read, so the
-  event-driven per-router path keeps its speed; :class:`InputVC`
-  (:mod:`repro.noc.router`) becomes a typed *view* whose properties
-  read/write these buffers, keeping every existing call site working.
-- **vector plane** — zero-copy ``numpy.frombuffer`` views over the very
-  same buffers (:meth:`FabricState.vectors`), used by the batched
-  kernel mode (:mod:`repro.noc.batch`) to run SA/ST candidate selection
-  for *all* routers in a handful of array passes per cycle.  numpy is
-  optional (the ``fast`` extra); without it the batch driver falls back
-  to a fused scalar sweep over the same arrays.
+object-at-a-time.  The buffers are ``array.array('q')``: indexing them
+from Python is about as fast as a ``__slots__`` attribute read, so the
+Python router path keeps its speed (:class:`InputVC`,
+:mod:`repro.noc.router`, is a typed *view* whose properties read/write
+these buffers), and their addresses are stable, so the native router
+sweep (:mod:`repro.noc.native`) binds to the very same memory.
 
 Object-valued state (the bound :class:`~repro.noc.flit.Packet`, the
 DISCO engine job) stays in parallel Python lists — packets are live
@@ -29,17 +22,24 @@ objects that must keep identity through checkpoints.
 Encodings (all fields are signed 64-bit):
 
 ==================  =====================================================
-``state``           VC pipeline state (``VC_IDLE``/``ROUTING``/``VA``/``ACTIVE``)
+``state``           VC pipeline state (``VC_IDLE`` exactly when no packet is bound)
 ``out_port``        RC decision; ``-1`` = none
 ``out_vc_class``    dateline escape class; ``NO_CLASS`` (-1) = unconstrained
 ``out_vc``          downstream VC id; ``NO_VC`` (-1) = none
 ``reserved``        0/1 flag
 ``wedged_until``    fault wedge deadline; ``-1`` = never wedged
 ``eject_tokens``    per-*node* ejection flow-control credits
+``pkt_size``        mirror of the bound packet's ``size_flits``
+``pkt_vnet``        mirror of the bound packet's vnet
+``sa_rr``           per-(router, output port) SA round-robin pointer
 ==================  =====================================================
 
+``pkt_size``/``pkt_vnet`` are written when a head flit binds a packet, so
+code that cannot see the packet objects (the native sweep) can read
+them; they are derived state, rebuilt from the packets on restore.
+
 The arrays are fixed-size for the life of the fabric (topologies never
-grow mid-run), which is what makes the numpy views safe: an
+grow mid-run), which is what makes binding to their addresses safe: an
 ``array.array`` buffer only moves on resize, and we never resize.
 """
 
@@ -47,13 +47,6 @@ from __future__ import annotations
 
 from array import array
 from typing import Dict, List, Optional
-
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-HAS_NUMPY = _np is not None
 
 #: Sentinel encodings for the Optional fields.
 NO_PORT = -1
@@ -78,26 +71,6 @@ VC_FIELDS = (
 
 #: Fields initialised to -1 rather than 0.
 _MINUS_ONE_FIELDS = frozenset(("out_port", "out_vc_class", "out_vc", "wedged_until"))
-
-
-class FabricVectors:
-    """Zero-copy numpy views over a :class:`FabricState`'s buffers.
-
-    Built once and cached — ``numpy.frombuffer`` shares memory with the
-    ``array.array`` plane, so scalar writes are instantly visible here
-    and vectorized writes are instantly visible to the scalar plane.
-    """
-
-    __slots__ = VC_FIELDS + ("eject_tokens", "vc_node", "vc_port", "depth")
-
-    def __init__(self, fs: "FabricState"):
-        assert _np is not None
-        for name in VC_FIELDS:
-            setattr(self, name, _np.frombuffer(getattr(fs, name), dtype=_np.int64))
-        self.eject_tokens = _np.frombuffer(fs.eject_tokens, dtype=_np.int64)
-        self.vc_node = _np.frombuffer(fs.vc_node, dtype=_np.int64)
-        self.vc_port = _np.frombuffer(fs.vc_port, dtype=_np.int64)
-        self.depth = fs.depth
 
 
 class FabricState:
@@ -147,6 +120,19 @@ class FabricState:
 
         #: Ejection flow-control credits, one per node (start full).
         self.eject_tokens = array("q", [ejection_bandwidth] * n_nodes)
+        #: Bound-packet mirrors (see the module docstring).
+        self.pkt_size = array("q", zeros)
+        self.pkt_vnet = array("q", zeros)
+        #: SA round-robin pointers, one per (router, output port), from
+        #: ``port_base[node]``; each router indexes its slice as
+        #: ``Router._sa_rr``.
+        port_base: List[int] = []
+        n_ports = 0
+        for node in range(n_nodes):
+            port_base.append(n_ports)
+            n_ports += topology.radix(node)
+        self.port_base = port_base
+        self.sa_rr = array("q", bytes(8 * n_ports))
 
         # Object plane: live Python references, parallel to the arrays.
         self.packet: List[Optional[object]] = [None] * total
@@ -154,8 +140,6 @@ class FabricState:
         #: ``vid -> InputVC`` view objects, filled in by the routers at
         #: construction so ``out_vc`` ids can resolve back to views.
         self.views: List[Optional[object]] = [None] * total
-
-        self._vectors: Optional[FabricVectors] = None
 
     # -- addressing ----------------------------------------------------------
     def vid(self, node: int, port: int, vc_index: int) -> int:
@@ -166,25 +150,21 @@ class FabricState:
         """The :class:`~repro.noc.router.InputVC` view of a VC id."""
         return self.views[vid]
 
-    # -- vector plane --------------------------------------------------------
-    def vectors(self) -> FabricVectors:
-        """The cached numpy view bundle (requires the ``fast`` extra)."""
-        if self._vectors is None:
-            if _np is None:
-                raise RuntimeError(
-                    "numpy is not installed; install the 'fast' extra "
-                    "(pip install repro[fast]) for vectorized sweeps"
-                )
-            self._vectors = FabricVectors(self)
-        return self._vectors
-
     # -- whole-fabric queries ------------------------------------------------
     def total_occupancy(self) -> int:
         """Buffered + in-flight flits across every VC (telemetry gauge)."""
-        if self._vectors is not None:
-            vec = self._vectors
-            return int(vec.flits_present.sum() + vec.incoming.sum())
         return sum(self.flits_present) + sum(self.incoming)
+
+    def refresh_mirrors(self) -> None:
+        """Rebuild ``pkt_size``/``pkt_vnet`` from the bound packets (after
+        a restore: the mirrors are derived state, never checkpointed)."""
+        for vid, packet in enumerate(self.packet):
+            if packet is None:
+                self.pkt_size[vid] = 0
+                self.pkt_vnet[vid] = 0
+            else:
+                self.pkt_size[vid] = packet.size_flits
+                self.pkt_vnet[vid] = packet.ptype.vnet
 
     # -- checkpointing -------------------------------------------------------
     def state_dict(self) -> dict:
@@ -224,6 +204,5 @@ class FabricState:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"FabricState({self.n_nodes} nodes, {self.n_vcs} VCs, "
-            f"numpy={'on' if self._vectors is not None else 'lazy'})"
+            f"FabricState({self.n_nodes} nodes, {self.n_vcs} VCs)"
         )

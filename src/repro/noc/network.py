@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.noc import native
 from repro.noc.config import NocConfig
 from repro.noc.fabric_state import FabricState
 from repro.noc.flit import Packet
@@ -62,6 +63,18 @@ def _default_eject(node: int, packet: Packet) -> int:
     return 0
 
 
+def constant_priority(policy: Callable[[Packet], int]) -> Callable[[Packet], int]:
+    """Mark a ``packet_priority`` policy that ranks every packet equally.
+
+    Arbitration under such a policy is pure round-robin, which the native
+    router sweep (:mod:`repro.noc.native`) implements; any unmarked policy
+    keeps the routers on the Python path.
+    """
+    policy.constant_priority = True
+    return policy
+
+
+@constant_priority
 def _default_priority(packet: Packet) -> int:
     return 1
 
@@ -99,12 +112,17 @@ class ArrivalQueue:
         is_head: bool,
         is_tail: bool,
     ) -> None:
+        self.batch(due).append((target_vc, packet, is_head, is_tail))
+
+    def batch(self, due: int) -> List[Tuple[InputVC, Packet, bool, bool]]:
+        """The arrival list for ``due`` (created, and the queue woken for
+        it, on first use); callers append ``(vc, packet, head, tail)``."""
         batch = self._due.get(due)
         if batch is None:
             batch = self._due[due] = []
             heapq.heappush(self._due_heap, due)
             self.network.kernel.wake(self, due)
-        batch.append((target_vc, packet, is_head, is_tail))
+        return batch
 
     def has_work(self) -> bool:
         return bool(self._due)
@@ -300,7 +318,11 @@ class Network:
         config: NocConfig,
         router_factory: Optional[RouterFactory] = None,
         kernel: Optional[SimKernel] = None,
+        native_sweep: bool = True,
     ):
+        """``native_sweep=False`` keeps the routers on the Python sweep
+        even when the native one is available (:mod:`repro.noc.native`);
+        results are identical either way."""
         self.config = config
         self.topology = config.make_topology()
         self.mesh = self.topology  # legacy alias (pre-fabric callers)
@@ -384,9 +406,9 @@ class Network:
         self.inject_transform: Callable[[int, Packet], int] = _default_inject
         self.eject_transform: Callable[[int, Packet], int] = _default_eject
         self.packet_priority: Callable[[Packet], int] = _default_priority
-        self._register_components()
+        self._register_components(native_sweep)
 
-    def _register_components(self) -> None:
+    def _register_components(self, native_sweep: bool) -> None:
         kernel = self.kernel
         kernel.register(
             CallbackComponent(self._frame_start, label="net.frame"),
@@ -395,15 +417,10 @@ class Network:
         kernel.register(self.arrival_queue, phase="net.arrivals")
         for router in self.routers:
             kernel.register(router, phase="net.routers")
-        #: Batch mode sweeps the router phase through one driver instead
-        #: of per-component dispatch (:mod:`repro.noc.batch`); the routers
-        #: stay registered so wake()/active-set bookkeeping is unchanged.
-        self.batch_driver = None
-        if kernel.mode == "batch":
-            from repro.noc.batch import BatchFabricDriver
-
-            self.batch_driver = BatchFabricDriver(self)
-            kernel.set_phase_driver("net.routers", self.batch_driver)
+        #: The native router sweep drives the router phase when it can
+        #: run (:mod:`repro.noc.native`); the routers stay registered so
+        #: wake()/active-set bookkeeping is unchanged.
+        self.native_sweep = native.install(self, native_sweep)
         for ni in self.nis:
             kernel.register(ni, phase="net.nis")
         kernel.register(self.local_deliveries, phase="net.delivery")
@@ -672,6 +689,7 @@ class Network:
         # guarantees it bit-for-bit).  ``_eject_tokens`` aliases the
         # fabric's array, so the tokens restore through it.
         self.fabric.load_state(state["fabric"])
+        self.fabric.refresh_mirrors()
         self._eject_spent = list(state["eject_spent"])
         self.stats.__dict__.update(state["stats"])
         self.degraded.__dict__.update(state["degraded"])

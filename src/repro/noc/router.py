@@ -17,8 +17,10 @@ struct-of-arrays layer (:class:`repro.noc.fabric_state.FabricState`),
 indexed by the VC's flat ``vid``.  :class:`InputVC` is a typed *view*
 onto that layer — its properties keep every existing call site (faults,
 reliability, diagnostics, the DISCO engine) working unchanged, while the
-per-cycle pipeline below and the batched kernel mode
-(:mod:`repro.noc.batch`) index the arrays directly.
+per-cycle pipeline below indexes the arrays directly.  For plain routers
+the event kernel normally runs the same pipeline natively
+(:mod:`repro.noc.native`); this Python pipeline is the tick-mode oracle
+and the path every hooked, traced or faulted fabric takes.
 
 :class:`Router` exposes the hook points the DISCO router overrides:
 ``_post_switch_allocation`` (receives this cycle's SA losers — the
@@ -28,6 +30,7 @@ abort, step-3).
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -247,6 +250,8 @@ class InputVC:
                     f"port {self.port} vc {self.vc_index}"
                 )
             fs.packet[i] = packet
+            fs.pkt_size[i] = packet.size_flits
+            fs.pkt_vnet[i] = packet.ptype.vnet
             self.router._bind_vc(self)
             fs.reserved[i] = 0
             fs.state[i] = VC_ROUTING
@@ -404,7 +409,10 @@ class Router:
         #: buffers — iteration order (and thus arbitration) is identical
         #: to a full scan because the sort key *is* the scan position.
         self._bound: List[InputVC] = []
-        self._sa_rr: List[int] = [0] * self.radix  # round-robin per output port
+        #: SA round-robin pointer per output port: this router's slice of
+        #: the fabric's ``sa_rr`` array (shared with the native sweep).
+        rr_base = fs.port_base[node]
+        self._sa_rr = memoryview(fs.sa_rr)[rr_base:rr_base + self.radix]
         # Round-robin key space: (port, vc) -> port * stride + vc.  The
         # floors of 8 keep the Table 2 mesh arithmetic (stride 8, span 64)
         # bit-identical to the fixed-radix implementation.
@@ -851,7 +859,7 @@ class Router:
             )
         for vc, vc_state in zip(self.all_vcs, state["vcs"]):
             vc.load_state(vc_state, self.network)
-        self._sa_rr = list(state["sa_rr"])
+        self._sa_rr[:] = array("q", state["sa_rr"])
         self._bound = sorted(
             (vc for vc in self.all_vcs if vc.packet is not None),
             key=_by_scan_key,

@@ -30,7 +30,12 @@ drain into their phase's active set and each set is swept in
 tick-everything loop used.  ``SimKernel(event_driven=False)`` (or
 ``REPRO_KERNEL_MODE=tick``) restores the legacy poll-everything loop,
 which the invariance tests use to prove both schedulers produce
-bit-identical results.
+bit-identical results.  Any other ``REPRO_KERNEL_MODE`` value raises.
+
+A phase may carry a *driver* (:meth:`SimKernel.set_phase_driver`) that
+visits the whole active set in one call — the network's native router
+sweep (:mod:`repro.noc.native`) is one.  The kernel keeps the schedule:
+the driver only replaces the inner visit loop.
 
 Instrumentation is opt-in and zero-cost when off: ``enable_timing()``
 accumulates wall-clock per phase — and, with ``per_component=True``, per
@@ -54,6 +59,32 @@ from repro.sim.component import Component
 from repro.sim.stats import StatsRegistry
 
 Tracer = Callable[[int, str, Component], None]
+
+#: The scheduler modes (``batch`` was removed; naming it raises saying so).
+KERNEL_MODES = ("event", "tick")
+
+
+def check_kernel_mode(mode: str, source: str = "kernel mode") -> str:
+    """``mode`` if it names a scheduler; otherwise a ValueError naming
+    the value (and, for ``batch``, saying the mode was removed)."""
+    if mode == "batch":
+        raise ValueError(
+            f"{source} 'batch' was removed: the event kernel runs the "
+            "native router sweep instead; use 'event' (the default) or "
+            "'tick'"
+        )
+    if mode not in KERNEL_MODES:
+        raise ValueError(
+            f"unknown {source} {mode!r}: expected 'event' or 'tick'"
+        )
+    return mode
+
+
+def kernel_mode_from_env() -> str:
+    """The validated ``REPRO_KERNEL_MODE`` (unset or empty: ``event``)."""
+    return check_kernel_mode(
+        os.environ.get("REPRO_KERNEL_MODE") or "event", "REPRO_KERNEL_MODE"
+    )
 
 
 def component_label(component: Component) -> str:
@@ -117,11 +148,7 @@ class Phase:
         #: of round-tripping through the wakeup heap (the heap is for
         #: *timed* wakes; the next-cycle case is the hot path).
         self.pending_next: List[_Scheduled] = []
-        #: Optional batch driver: ``driver(cycle, sorted_active_regs) ->
-        #: (ticked, skipped)`` sweeps the whole phase in one call (the
-        #: ``REPRO_KERNEL_MODE=batch`` dataplane).  The kernel still owns
-        #: active-set bookkeeping and re-arms each registration from its
-        #: idleness contract afterwards.
+        #: Optional phase driver (see :meth:`SimKernel.set_phase_driver`).
         self.driver = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -138,20 +165,16 @@ class SimKernel:
     ) -> None:
         self.cycle = 0
         self.stats = StatsRegistry()
-        # Scheduler mode: "tick" (legacy poll-everything), "event"
-        # (wakeup-driven, the default), or "batch" (event scheduling plus
-        # phase drivers that sweep a whole phase in bulk).  The boolean
-        # ``event_driven`` parameter is the legacy spelling and wins when
-        # given explicitly.
+        # Scheduler mode: "tick" (legacy poll-everything) or "event"
+        # (wakeup-driven, the default).  The boolean ``event_driven``
+        # parameter is the legacy spelling and wins when given explicitly.
         if mode is None:
             if event_driven is None:
-                mode = os.environ.get("REPRO_KERNEL_MODE", "event")
-                if mode not in ("tick", "event", "batch"):
-                    mode = "event"
+                mode = kernel_mode_from_env()
             else:
                 mode = "event" if event_driven else "tick"
-        elif mode not in ("tick", "event", "batch"):
-            raise ValueError(f"unknown kernel mode {mode!r}")
+        else:
+            check_kernel_mode(mode)
         self.mode = mode
         self._event_driven = mode != "tick"
         self._phases: List[Phase] = []
@@ -170,13 +193,6 @@ class SimKernel:
         self.cycles_total = 0
         self.component_wakes = 0
         self.wakes_skipped = 0
-        #: Batched-sweep counters (only move in ``mode="batch"``): phase
-        #: sweeps handled by a driver, router visits served by the fused
-        #: fast path, and visits that fell back to the scalar
-        #: ``tick()`` because a hook override touched the router.
-        self.batch_sweeps = 0
-        self.batch_fast_ticks = 0
-        self.batch_fallback_ticks = 0
         self._timing = False
         self._component_timing = False
         self._tracer: Optional[Tracer] = None
@@ -247,14 +263,22 @@ class SimKernel:
             self._schedule(reg, self.cycle + 1)
 
     def set_phase_driver(self, phase: str, driver) -> None:
-        """Install a batch driver for one phase (creating it if needed).
+        """Install a driver for one phase (creating it if needed).
 
         ``driver(cycle, regs)`` receives the phase's active registrations
         for the cycle, sorted in registration order, and must visit each
-        one exactly as the default sweep would (honouring ``has_work()``
-        gating); it returns ``(ticked, skipped)`` counts.  The kernel
-        keeps ownership of wake scheduling and post-sweep re-arming, so a
-        driver only replaces the inner visit loop — never the schedule.
+        one exactly as the default sweep would: tick it when
+        ``has_work()`` holds, skip it otherwise.  It returns ``(ticked,
+        skipped, busy)``, ``busy`` listing in visit order the ticked
+        registrations that still have work right after their visit.  The
+        kernel re-arms those for the next cycle, so a driven phase's
+        components follow the default idleness contract (no
+        ``next_wake``).  A driver that returns ``None`` has visited
+        nothing: the kernel sweeps the phase itself this cycle.  The
+        driver replaces the inner visit loop, never the schedule.  Tick
+        mode and a kernel tracer bypass drivers, so every component is
+        visited (and traced) individually.  ``driver.label`` names the
+        driver in per-component timing.
         """
         self.add_phase(phase).driver = driver
 
@@ -406,26 +430,16 @@ class SimKernel:
             pending_next = phase.pending_next
             driver = phase.driver
             if driver is not None:
-                ticked, gated = driver(cycle, pending)
-                wakes += ticked
-                skipped += gated
-                self.batch_sweeps += 1
-                # Re-arm from each idleness contract, exactly as the
-                # default sweep below does after visiting.
-                for reg in pending:
-                    fn = reg.next_wake_fn
-                    if fn is None:
-                        if (
-                            reg.component.has_work()
-                            and reg.queued_next != nxt_cycle
-                        ):
+                outcome = driver(cycle, pending)
+                if outcome is not None:
+                    ticked, gated, busy = outcome
+                    wakes += ticked
+                    skipped += gated
+                    for reg in busy:
+                        if reg.queued_next != nxt_cycle:
                             reg.queued_next = nxt_cycle
                             pending_next.append(reg)
-                    else:
-                        nxt = fn(cycle)
-                        if nxt is not None:
-                            self._schedule(reg, nxt if nxt > cycle else nxt_cycle)
-                continue
+                    continue
             for reg in pending:
                 component = reg.component
                 fn = reg.next_wake_fn
@@ -461,35 +475,33 @@ class SimKernel:
             if len(pending) > 1:
                 pending.sort(key=_reg_order)
             start = time.perf_counter() if self._timing else 0.0
-            driver = phase.driver
-            if driver is not None:
-                # Batched phases profile as one unit: the sweep is a
-                # handful of array passes, so per-component attribution
-                # would be meaningless.  The kernel tracer sees a single
-                # event for the driver instead of one per router.
-                if tracer is not None:
-                    tracer(cycle, phase.name, driver)
-                ticked, gated = driver(cycle, pending)
+            driver = phase.driver if tracer is None else None
+            outcome = None if driver is None else driver(cycle, pending)
+            if outcome is not None:
+                # A driven phase profiles as one unit, keyed by the
+                # driver's label: its visits happen inside one call.
+                ticked, gated, busy = outcome
                 self.component_wakes += ticked
                 self.wakes_skipped += gated
-                self.batch_sweeps += 1
-                for reg in pending:
-                    fn = reg.next_wake_fn
-                    if fn is None:
-                        if reg.component.has_work():
-                            self._schedule(reg, cycle + 1)
-                    else:
-                        nxt = fn(cycle)
-                        if nxt is not None:
-                            self._schedule(reg, nxt if nxt > cycle else cycle + 1)
+                for reg in busy:
+                    self._schedule(reg, cycle + 1)
                 if self._timing:
+                    elapsed = time.perf_counter() - start
                     name = phase.name
-                    self.phase_seconds[name] = self.phase_seconds.get(
-                        name, 0.0
-                    ) + (time.perf_counter() - start)
+                    self.phase_seconds[name] = (
+                        self.phase_seconds.get(name, 0.0) + elapsed
+                    )
                     self.phase_ticks[name] = (
                         self.phase_ticks.get(name, 0) + ticked
                     )
+                    if per_component:
+                        key = (name, component_label(driver))
+                        self.component_seconds[key] = (
+                            self.component_seconds.get(key, 0.0) + elapsed
+                        )
+                        self.component_ticks[key] = (
+                            self.component_ticks.get(key, 0) + ticked
+                        )
                 continue
             ticked_count = 0
             for reg in pending:
@@ -616,9 +628,6 @@ class SimKernel:
             "cycles_total": self.cycles_total,
             "component_wakes": self.component_wakes,
             "wakes_skipped": self.wakes_skipped,
-            "batch_sweeps": self.batch_sweeps,
-            "batch_fast_ticks": self.batch_fast_ticks,
-            "batch_fallback_ticks": self.batch_fallback_ticks,
             "seq": self._seq,
         }
         if self._event_driven:
@@ -654,6 +663,7 @@ class SimKernel:
         saved_mode = state.get(
             "mode", "event" if state["event_driven"] else "tick"
         )
+        check_kernel_mode(saved_mode, "kernel snapshot mode")
         if bool(state["event_driven"]) != self._event_driven:
             saved_mode = "event" if state["event_driven"] else "tick"
         if saved_mode != self.mode:
@@ -666,9 +676,6 @@ class SimKernel:
         self.cycles_total = state["cycles_total"]
         self.component_wakes = state["component_wakes"]
         self.wakes_skipped = state["wakes_skipped"]
-        self.batch_sweeps = state.get("batch_sweeps", 0)
-        self.batch_fast_ticks = state.get("batch_fast_ticks", 0)
-        self.batch_fallback_ticks = state.get("batch_fallback_ticks", 0)
         self._seq = state["seq"]
         self._sweep_index = None
         if not self._event_driven:
@@ -713,18 +720,11 @@ class SimKernel:
         ``has_work()`` (in tick-all mode: every poll of an idle
         component).  The tick-everything cost this kernel replaced is
         ``cycles_total × registered components``.
-
-        The ``batch_*`` counters only move under ``mode="batch"``: driven
-        phase sweeps, router visits served by the fused fast path, and
-        per-router fallbacks to the scalar ``tick()``.
         """
         return {
             "cycles_total": self.cycles_total,
             "component_wakes": self.component_wakes,
             "wakes_skipped": self.wakes_skipped,
-            "batch_sweeps": self.batch_sweeps,
-            "batch_fast_ticks": self.batch_fast_ticks,
-            "batch_fallback_ticks": self.batch_fallback_ticks,
         }
 
     def idle(self) -> bool:
@@ -767,9 +767,7 @@ class SimKernel:
         visits = self.component_wakes + self.wakes_skipped
         denom = self.cycles_total * active_slots
         fraction = visits / denom if denom else 0.0
-        mode_name = {
-            "tick": "tick-all", "event": "event-driven", "batch": "batched",
-        }[self.mode]
+        mode_name = {"tick": "tick-all", "event": "event-driven"}[self.mode]
         lines.append(
             f"  kernel: {mode_name}"
             + f", {self.cycles_total} cycles, "

@@ -1,191 +1,36 @@
-"""Batch kernel mode: fallback matrix, sweep counters, fabric state.
+"""Fabric-state and route-cache tests.
 
-The digest matrix in ``test_golden_mesh`` pins batch mode against the
-five golden schemes end to end.  Here the :class:`BatchFabricDriver` is
-driven directly against :class:`Network` instances with correctness
-instrumentation attached — faults, a packet tracer, the retransmission
-layer, an overridden ejection policy — proving each one forces the
-scalar fallback while the simulation stays bit-identical to event mode,
-and that the batch sweep counters move exactly where expected.
+The :class:`FabricState` arrays are the dataplane both router sweeps
+(native and Python) read and write; they must round-trip through a
+checkpoint bit for bit.  The route cache is derived state that must
+stay bounded and never reach a checkpoint.
 """
 
-import pytest
-
-from repro.faults import FaultController, FaultPlan
 from repro.noc import Network, NocConfig
-from repro.noc.fabric_state import HAS_NUMPY
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 
-CYCLES = 700
+
+def make_network(**kwargs):
+    return Network(NocConfig(**kwargs))
 
 
-def _run(mode, monkeypatch, *, config=None, network_cls=Network,
-         faults=None, rate=0.05, seed=11, **noc_kwargs):
-    """One synthetic-traffic run under ``mode``; returns (network, traffic)."""
-    from repro.noc.flit import pid_watermark
-
-    monkeypatch.setenv("REPRO_KERNEL_MODE", mode)
-    base_pid = pid_watermark()
-    network = network_cls(config if config is not None else NocConfig(**noc_kwargs))
-    if faults is not None:
-        network.attach_faults(
-            FaultController(faults, raise_on_violation=False)
-        )
-    traffic = SyntheticTraffic(
-        network, TrafficConfig(injection_rate=rate, seed=seed)
+def _traffic_run(cycles=700):
+    network = make_network()
+    SyntheticTraffic(network, TrafficConfig(injection_rate=0.05, seed=11)).run(
+        cycles
     )
-    traffic.run(CYCLES)
-    return network, traffic, base_pid
-
-
-def _fingerprint(network, traffic, base_pid):
-    """Everything observable about a run except scheduler-internal
-    counters: final cycle, the flat network counter block, degraded /
-    recovered accounting, and the exact delivery order.  Pids are
-    process-global, so they are rebased to the run's own watermark."""
-    return {
-        "cycle": network.cycle,
-        "network": network._network_counters(),
-        "degraded": network.degraded.counters(),
-        "recovered": network.recovered.counters(),
-        "delivered": [
-            (p.pid - base_pid, p.src, p.dst, p.ptype.value)
-            for p in traffic.delivered
-        ],
-    }
-
-
-def _pair(monkeypatch, **kwargs):
-    event = _fingerprint(*_run("event", monkeypatch, **kwargs))
-    network, traffic, base_pid = _run("batch", monkeypatch, **kwargs)
-    batch = _fingerprint(network, traffic, base_pid)
-    return event, batch, network.kernel
-
-
-class TestCleanRunsBatch:
-    @pytest.mark.parametrize("vector_min", ["0", "999999999"])
-    def test_matches_event_and_counts_fast_ticks(self, monkeypatch, vector_min):
-        """A hook-free plain-router mesh runs the fast path in both batch
-        regimes (forced-vectorized and forced fused-scalar) and is
-        bit-identical to event mode."""
-        monkeypatch.setenv("REPRO_BATCH_VECTOR_MIN", vector_min)
-        event, batch, kernel = _pair(monkeypatch)
-        assert batch == event
-        assert kernel.mode == "batch"
-        assert kernel.batch_sweeps > 0
-        assert kernel.batch_fast_ticks > 0
-        assert kernel.batch_fallback_ticks == 0
-
-    def test_batch_counters_in_kernel_stat_group(self, monkeypatch):
-        _network, _traffic, _base = _run("batch", monkeypatch)
-        counters = _network.kernel.kernel_counters()
-        for key in ("batch_sweeps", "batch_fast_ticks", "batch_fallback_ticks"):
-            assert key in counters
-        assert counters["batch_sweeps"] == _network.kernel.batch_sweeps
-
-    def test_event_mode_never_touches_batch_counters(self, monkeypatch):
-        network, _traffic, _base = _run("event", monkeypatch)
-        kernel = network.kernel
-        assert network.batch_driver is None
-        assert kernel.batch_sweeps == 0
-        assert kernel.batch_fast_ticks == 0
-        assert kernel.batch_fallback_ticks == 0
-
-
-class TestHookForcedFallback:
-    """Each attached correctness layer must force the scalar fallback
-    (its hook points fire inside the scalar stage code) and still match
-    the event-mode run exactly."""
-
-    def _assert_fell_back(self, kernel):
-        assert kernel.batch_sweeps > 0
-        assert kernel.batch_fallback_ticks > 0
-        assert kernel.batch_fast_ticks == 0
-
-    def test_fault_controller(self, monkeypatch):
-        plan = FaultPlan(seed=5, drop_rate=0.01, wedge_rate=0.0005)
-        event, batch, kernel = _pair(monkeypatch, faults=plan)
-        assert batch == event
-        assert batch["degraded"]["packets_dropped"] > 0  # faults really fired
-        self._assert_fell_back(kernel)
-
-    def test_packet_tracer(self, monkeypatch):
-        event, batch, kernel = _pair(
-            monkeypatch, trace_packets=True, trace_sample_interval=1
-        )
-        assert batch == event
-        self._assert_fell_back(kernel)
-
-    def test_tracer_event_streams_are_identical(self, monkeypatch):
-        def events(mode):
-            network, _traffic, base = _run(
-                mode, monkeypatch,
-                trace_packets=True, trace_sample_interval=1,
-            )
-            return [
-                (e.cycle, e.kind, e.pid - base, e.node, e.info)
-                for e in network.tracer.events
-            ]
-
-        assert events("batch") == events("event")
-
-    def test_retransmission_layer(self, monkeypatch):
-        event, batch, kernel = _pair(monkeypatch, retransmission=True)
-        assert batch == event
-        self._assert_fell_back(kernel)
-
-    def test_overridden_eject_policy(self, monkeypatch):
-        class ThrottledNetwork(Network):
-            def can_eject(self, node):
-                # Even nodes only eject on even cycles (a real policy
-                # change, but starvation-free).
-                if node % 2 == 0 and self.cycle % 2:
-                    return False
-                return super().can_eject(node)
-
-        event, batch, kernel = _pair(
-            monkeypatch, network_cls=ThrottledNetwork
-        )
-        assert batch == event
-        self._assert_fell_back(kernel)
-
-    def test_disco_routers_fall_back_per_router(self, monkeypatch):
-        """DiscoRouter overrides stage hooks, so it is not batch-eligible
-        (exact-type check); a disco fabric must run entirely on the
-        scalar path yet stay bit-identical to event mode."""
-        from repro.core import DiscoConfig, make_disco_router_factory
-        from repro.noc.flit import pid_watermark
-
-        def run(mode):
-            monkeypatch.setenv("REPRO_KERNEL_MODE", mode)
-            base_pid = pid_watermark()
-            network = Network(
-                NocConfig(),
-                router_factory=make_disco_router_factory(DiscoConfig()),
-            )
-            traffic = SyntheticTraffic(
-                network, TrafficConfig(injection_rate=0.05, seed=11)
-            )
-            traffic.run(CYCLES)
-            return _fingerprint(network, traffic, base_pid), network.kernel
-
-        event_fp, _event_kernel = run("event")
-        batch_fp, batch_kernel = run("batch")
-        assert batch_fp == event_fp
-        self._assert_fell_back(batch_kernel)
+    return network
 
 
 class TestFabricState:
-    def test_roundtrip_is_bit_identical(self, monkeypatch):
+    def test_roundtrip_is_bit_identical(self):
         """FabricState.state_dict -> load_state restores every array
-        byte-for-byte, and the restored network finishes identically."""
-        network, _traffic, _base = _run("event", monkeypatch)
-        state = network.fabric.state_dict()
-
+        byte-for-byte."""
         from repro.noc.fabric_state import VC_FIELDS
 
-        monkeypatch.setenv("REPRO_KERNEL_MODE", "event")
-        fresh = Network(NocConfig())
+        network = _traffic_run()
+        state = network.fabric.state_dict()
+        fresh = make_network()
         fresh.fabric.load_state(state)
         for field in VC_FIELDS:
             assert getattr(fresh.fabric, field).tolist() == (
@@ -195,20 +40,12 @@ class TestFabricState:
             network.fabric.eject_tokens.tolist()
         )
 
-    def test_eject_tokens_alias_survives_restore(self, monkeypatch):
+    def test_eject_tokens_alias_survives_restore(self):
         """``Network._eject_tokens`` must stay an alias of the fabric
         array across state loads (never reassigned)."""
-        network, _traffic, _base = _run("event", monkeypatch)
+        network = _traffic_run()
+        network.load_state(network.state_dict())
         assert network._eject_tokens is network.fabric.eject_tokens
-
-    def test_vectors_require_numpy(self):
-        fs = Network(NocConfig()).fabric
-        if HAS_NUMPY:
-            vec = fs.vectors()
-            assert vec.state.shape == (fs.n_vcs,)
-        else:
-            with pytest.raises(RuntimeError, match="fast"):
-                fs.vectors()
 
 
 class TestRouteCache:
@@ -243,11 +80,11 @@ class TestRouteCache:
         for (src, dst), decision in list(decisions.items())[:32]:
             assert network.route(src, dst) == decision
 
-    def test_route_cache_not_checkpointed(self, monkeypatch):
+    def test_route_cache_not_checkpointed(self):
         """The cache is pure derived state: it never appears in a
         checkpoint, and a capped cache's eviction counter resets on a
         fresh build without affecting restored behaviour."""
-        network, _traffic, _base = _run("event", monkeypatch)
+        network = _traffic_run()
         state = network.state_dict()
         for key in state:
             assert "route_cache" not in key

@@ -87,39 +87,17 @@ class TestRoundTripInvariance:
             f"checkpoint/restore is not state-complete"
         )
 
-    @pytest.mark.parametrize("scheme", ["cc", "disco"])
-    def test_restore_under_batch_mode_reproduces_the_golden_digest(
-        self, scheme, monkeypatch
-    ):
-        """The pause/pickle/restore round trip under the batched sweep
-        (``REPRO_KERNEL_MODE=batch``): FabricState travels through the
-        version-2 Network envelope and the finished run still hits the
-        golden digest.  ``cc`` exercises the fast path, ``disco`` the
-        per-router fallback."""
-        monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
-        spec = RunSpec(scheme=scheme, **QUICK)
-        paused = _build_cold(spec)
-        assert paused.run(pause_at=1500) is None
-        state = pickle.loads(
-            pickle.dumps(paused.state_dict(), pickle.HIGHEST_PROTOCOL)
-        )
-        fresh = checkpoint.build_system(spec)
-        fresh.load_state(state)
-        result = fresh.run()
-        assert result_digest(result) == GOLDEN_DIGESTS[scheme]
-
-    def test_batch_snapshot_rejected_under_event_restore(self, monkeypatch):
-        """Mode is part of the kernel envelope: a snapshot taken under
-        batch scheduling must refuse to restore into an event kernel."""
-        monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
+    def test_batch_snapshot_rejected_under_event_restore(self):
+        """Mode is part of the kernel envelope: a snapshot taken under the
+        removed batch scheduler must refuse to restore, naming the cause
+        (batch snapshots were event-driven, so only the mode says so)."""
         spec = RunSpec(scheme="baseline", **QUICK)
         system = _build_cold(spec)
         assert system.run(pause_at=200) is None
         state = system.state_dict()
-        assert state["kernel"]["mode"] == "batch"
-        monkeypatch.setenv("REPRO_KERNEL_MODE", "event")
-        with pytest.raises(ValueError, match="kernel mode mismatch"):
-            checkpoint.build_system(spec).load_state(state)
+        batch = dict(state, kernel=dict(state["kernel"], mode="batch"))
+        with pytest.raises(ValueError, match="'batch' was removed"):
+            checkpoint.build_system(spec).load_state(batch)
 
     def test_kernel_rejects_version_and_mode_mismatch(self):
         spec = RunSpec(scheme="baseline", **QUICK)

@@ -78,52 +78,6 @@ def test_tick_all_kernel_reproduces_the_goldens(scheme, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("scheme", sorted(GOLDEN_DIGESTS))
-def test_batch_kernel_reproduces_the_goldens(scheme, monkeypatch):
-    """Event-vs-batch invariance: the batched dataplane sweep
-    (``REPRO_KERNEL_MODE=batch``, the fabric-array fast path of
-    :mod:`repro.noc.batch`) must hit the same five digests.
-
-    The runner keys its memo and disk caches on the kernel mode, so this
-    is a genuinely independent batched run, not a cache readback.  The
-    disco scheme exercises the per-router fallback (DiscoRouter is not
-    batch-eligible); the other four run the fast path.
-    """
-    monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
-    spec = RunSpec(
-        scheme=scheme, workload="blackscholes",
-        accesses_per_core=QUICK_ACCESSES,
-    )
-    result = run_spec(spec)
-    assert result_digest(result) == GOLDEN_DIGESTS[scheme], (
-        f"batched {scheme} run diverged from the golden digest — the "
-        f"batch sweep is not behaviour-preserving"
-    )
-
-
-@pytest.mark.parametrize("vector_min", ["0", "999999999"])
-def test_batch_vector_regimes_reproduce_the_goldens(vector_min, monkeypatch):
-    """Both batch regimes — forced-vectorized (min 0) and forced
-    fused-scalar (min huge) — hit the golden digest.
-
-    ``REPRO_BATCH_VECTOR_MIN`` is not part of the runner's cache key (it
-    cannot change results, only which partition code runs), so this goes
-    through ``runner._simulate`` directly to guarantee a fresh run.
-    Without numpy the forced-vectorized leg silently degrades to the
-    fused-scalar sweep, which is exactly the fallback being promised.
-    """
-    from repro.experiments import runner
-
-    monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
-    monkeypatch.setenv("REPRO_BATCH_VECTOR_MIN", vector_min)
-    spec = RunSpec(
-        scheme="cc", workload="blackscholes",
-        accesses_per_core=QUICK_ACCESSES,
-    )
-    result = runner._simulate(spec)
-    assert result_digest(result) == GOLDEN_DIGESTS["cc"]
-
-
 def test_kernels_agree_under_telemetry(monkeypatch):
     """Mode invariance with the telemetry layer attached (sampler interval
     = a timed wakeup every 64 cycles, plus per-packet tracing).

@@ -480,3 +480,100 @@ class TestNetworkOnKernel:
         network.schedule_arrival(10_000, vc, packet, is_head=True, is_tail=True)
         with pytest.raises(RuntimeError, match="link flits in flight: 1"):
             network.run_until_quiescent(max_cycles=100)
+
+
+class TestKernelModes:
+    """Bad scheduler modes fail loudly, naming the value."""
+
+    def test_unknown_env_mode_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_MODE", "evnet")
+        with pytest.raises(ValueError, match="REPRO_KERNEL_MODE 'evnet'"):
+            SimKernel()
+
+    def test_batch_env_mode_says_it_was_removed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
+        with pytest.raises(ValueError, match="'batch' was removed"):
+            SimKernel()
+
+    def test_unknown_constructor_mode_raises(self):
+        with pytest.raises(ValueError, match="'fast'"):
+            SimKernel(mode="fast")
+        with pytest.raises(ValueError, match="'batch' was removed"):
+            SimKernel(mode="batch")
+
+    def test_unset_or_empty_env_is_event(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_MODE", raising=False)
+        assert SimKernel().mode == "event"
+        monkeypatch.setenv("REPRO_KERNEL_MODE", "")
+        assert SimKernel().mode == "event"
+        monkeypatch.setenv("REPRO_KERNEL_MODE", "tick")
+        assert SimKernel().mode == "tick"
+
+    def test_runner_cache_key_refuses_bad_modes(self, monkeypatch):
+        from repro.experiments.runner import RunSpec, spec_key
+
+        monkeypatch.setenv("REPRO_KERNEL_MODE", "batch")
+        with pytest.raises(ValueError, match="'batch' was removed"):
+            spec_key(RunSpec(scheme="baseline", workload="blackscholes"))
+
+    def test_batch_snapshot_restore_names_the_cause(self):
+        kernel = SimKernel()
+        kernel.register(Recorder("a", []))
+        kernel.step()
+        state = dict(kernel.snapshot(), mode="batch")
+        with pytest.raises(ValueError, match="'batch' was removed"):
+            SimKernel().restore(state)
+
+
+class TestPhaseDriver:
+    def test_driver_visits_and_rearms(self):
+        """The driver replaces the visit loop; the kernel re-arms exactly
+        the registrations it reports busy, and times it under its label."""
+        trace = []
+        a, b = Recorder("a", trace), Recorder("b", trace, busy=False)
+
+        class Driver:
+            label = "drv"
+
+            def __call__(self, cycle, regs):
+                busy = []
+                for reg in regs:
+                    if reg.component.has_work():
+                        reg.component.tick(cycle)
+                        busy.append(reg)
+                return len(busy), len(regs) - len(busy), busy
+
+        kernel = SimKernel()
+        kernel.register(a, phase="p")
+        kernel.register(b, phase="p")
+        kernel.set_phase_driver("p", Driver())
+        kernel.enable_timing(per_component=True)
+        for _ in range(3):
+            kernel.step()
+        assert trace == [(1, "a"), (2, "a"), (3, "a")]
+        assert kernel.component_wakes == 3 and kernel.wakes_skipped == 1
+        assert kernel.component_ticks == {("p", "drv"): 3}
+        assert kernel.phase_ticks["p"] == 3
+
+    def test_driver_can_hand_the_sweep_back(self):
+        trace = []
+        kernel = SimKernel()
+        kernel.register(Recorder("a", trace), phase="p")
+        kernel.set_phase_driver("p", lambda cycle, regs: None)
+        kernel.step()
+        kernel.step()
+        assert trace == [(1, "a"), (2, "a")]
+        assert kernel.component_wakes == 2
+
+    def test_tracer_bypasses_the_driver(self):
+        events = []
+
+        def driver(cycle, regs):  # pragma: no cover - must not run
+            raise AssertionError("a traced sweep visits components itself")
+
+        kernel = SimKernel()
+        kernel.register(Recorder("a", []), phase="p")
+        kernel.set_phase_driver("p", driver)
+        kernel.set_tracer(lambda cycle, phase, comp: events.append(comp.name))
+        kernel.step()
+        assert events == ["a"]
