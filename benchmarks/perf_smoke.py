@@ -17,7 +17,10 @@ process pool, as ``fig5()`` does.
 The Python leg is also a correctness gate: every spec in the smoke grid
 must produce the same counter snapshot, cycle count and miss latency on
 both sweeps.  A divergence exits non-zero immediately — digest drift is
-a bug, never a perf trade.
+a bug, never a perf trade.  The native leg must also really be native:
+a ``disco`` spec whose ``noc.sweep`` annotation is not ``native (...)``
+(a silent fallback to the Python sweep) fails the run, so a fallback
+can never pass as a speed-up.
 
 On top of the saturated smoke grid, a mostly-idle 16x16 mesh (the sparse
 configuration: 256 cores, a few dozen accesses each) is timed on both
@@ -56,6 +59,9 @@ SPARSE_SCHEMES = ("baseline", "disco")
 
 
 SWEEPS = ("native", "python")
+
+#: Cycles a ``disco`` smoke spec runs to show which sweep it takes.
+NATIVE_CHECK_CYCLES = 500
 
 
 def best_cold_smoke_seconds(kernel: str = "event", sweep: str = "python") -> float:
@@ -155,6 +161,28 @@ def _run_smoke_leg(sweep: str):
     return wall, cache_hit, comparables
 
 
+def check_native_disco() -> int:
+    """Exit status 1 unless every ``disco`` spec of the smoke grid runs on
+    the native sweep.  Results carry no sweep annotation, so each spec is
+    rebuilt and run for :data:`NATIVE_CHECK_CYCLES` cycles."""
+    from repro.experiments.checkpoint import build_system
+
+    status = 0
+    for spec in _smoke_grid():
+        if spec.scheme != "disco":
+            continue
+        system = build_system(spec)
+        system.run(pause_at=NATIVE_CHECK_CYCLES)
+        note = system.kernel.annotations["noc.sweep"]
+        if not note.startswith("native (") or "Python" in note:
+            print(f"perf smoke: the native leg runs {spec.workload}/disco "
+                  f"on the Python sweep: noc.sweep: {note}")
+            status = 1
+    if not status:
+        print("perf smoke: every disco spec runs on the native sweep")
+    return status
+
+
 def _gate(sweep: str, wall: float, cache_hit: bool, reference: float) -> int:
     """Gate one leg against ``reference``, the best record read *before*
     the leg appended its own entry."""
@@ -246,6 +274,7 @@ def main() -> int:
     else:
         print(f"perf smoke: Python-sweep counters identical to native on "
               f"all {len(native)} smoke specs")
+    status |= check_native_disco()
 
     run_sparse()
     return status

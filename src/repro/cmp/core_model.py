@@ -42,6 +42,30 @@ class CoreStats:
         return self.total_miss_latency / self.primary_misses
 
 
+class CoreTotals:
+    """Running sums over a set of cores, kept by their transitions.
+
+    ``position`` and ``outstanding`` are the sums of the cores' own
+    fields; ``warming`` counts the cores still in warm-up (a core leaves
+    warm-up once and for all, since ``position`` only grows).  The system
+    loop reads them once per cycle instead of walking every core.  Never
+    checkpointed: rebuilt by :meth:`recount` from the cores' restored
+    fields.
+    """
+
+    __slots__ = ("position", "outstanding", "warming")
+
+    def __init__(self, cores: List["CoreModel"]):
+        self.recount(cores)
+        for core in cores:
+            core.totals = self
+
+    def recount(self, cores: List["CoreModel"]) -> None:
+        self.position = sum(core.position for core in cores)
+        self.outstanding = sum(core.outstanding for core in cores)
+        self.warming = sum(1 for core in cores if core.in_warmup())
+
+
 class CoreModel:
     """One trace-replaying core; the tile drives it each cycle.
 
@@ -61,6 +85,9 @@ class CoreModel:
         self.outstanding = 0  # in-flight misses (primary + coalesced)
         self.next_issue_cycle = trace[0].gap if trace else 0
         self.stats = CoreStats()
+        #: Sums this core contributes to (its own until a system pools
+        #: its cores into one :class:`CoreTotals`).
+        self.totals = CoreTotals([self])
 
     def in_warmup(self) -> bool:
         return self.position < self.warmup
@@ -87,11 +114,16 @@ class CoreModel:
         """The current access entered the memory system."""
         access = self.trace[self.position]
         self.position += 1
+        totals = self.totals
+        totals.position += 1
+        if self.position == self.warmup:
+            totals.warming -= 1
         self.stats.accesses_issued += 1
         if was_hit:
             self.stats.hits += 1
         else:
             self.outstanding += 1
+            totals.outstanding += 1
             if coalesced:
                 self.stats.coalesced_misses += 1
             else:
@@ -106,6 +138,7 @@ class CoreModel:
                        primary: bool, measured: bool = True) -> None:
         """A fill satisfied one waiting access of this core."""
         self.outstanding -= 1
+        self.totals.outstanding -= 1
         if self.outstanding < 0:  # pragma: no cover - invariant guard
             raise RuntimeError(f"core {self.node}: negative outstanding count")
         if primary:

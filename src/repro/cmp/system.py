@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cmp.bank import HomeBank
 from repro.cmp.config import SystemConfig
-from repro.cmp.core_model import CoreModel
+from repro.cmp.core_model import CoreModel, CoreTotals
 from repro.cmp.messages import Message, MessageKind
 from repro.cmp.schemes import SchemePolicy
 from repro.cmp.tile import Tile
@@ -302,6 +302,9 @@ class CmpSystem:
                     CoreModel(node, trace, config.core_window, warmup=warmup),
                 )
             )
+        #: Position/outstanding/warm-up sums over every core, kept by the
+        #: cores themselves so the run loop never walks them.
+        self.core_totals = CoreTotals([tile.core for tile in self.tiles])
         self.banks: List[HomeBank] = [
             HomeBank(node, self) for node in range(config.n_banks)
         ]
@@ -422,7 +425,7 @@ class CmpSystem:
     def _maybe_snapshot(self) -> None:
         if self._snapshot is not None:
             return
-        if all(not t.core.in_warmup() for t in self.tiles):
+        if self.core_totals.warming == 0:
             self._snapshot = self.kernel.stats.snapshot()
             self._measure_start_cycle = self.cycle
 
@@ -584,6 +587,7 @@ class CmpSystem:
         self.network.load_state(state["network"])
         for tile, saved in zip(self.tiles, state["tiles"]):
             tile.load_state(saved)
+        self.core_totals.recount([tile.core for tile in self.tiles])
         for bank, saved in zip(self.banks, state["banks"]):
             bank.load_state(saved)
         self.memory.load_state(state["memory"])
@@ -652,23 +656,19 @@ class CmpSystem:
         ``time.monotonic()`` budget checked every ~256 steps (raises
         ``TimeoutError``); ``progress_fn`` is a ~256-step heartbeat hook.
         """
-        tiles = self.tiles
-        cores = [tile.core for tile in tiles]
+        totals = self.core_totals
         kernel = self.kernel
         last_progress_cycle = 0
         last_outstanding = -1
         steps = 0
         # Every core's position is capped at its trace length, so the
         # position sum hits this target exactly when every trace has
-        # drained — one pass over the cores covers the done check, the
-        # watchdog signature, and the fast-forward in-flight guard.
-        trace_target = sum(len(core.trace) for core in cores)
+        # drained — the running sums cover the done check, the watchdog
+        # signature, and the fast-forward in-flight guard.
+        trace_target = sum(len(tile.core.trace) for tile in self.tiles)
         while True:
-            positions = 0
-            outstanding = 0
-            for core in cores:
-                positions += core.position
-                outstanding += core.outstanding
+            positions = totals.position
+            outstanding = totals.outstanding
             if outstanding == 0:
                 if positions == trace_target:
                     break

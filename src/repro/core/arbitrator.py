@@ -29,9 +29,37 @@ from repro.core.engine import (
     JOB_DECOMPRESS,
     DiscoCompressorEngine,
 )
+from repro.noc.fabric_state import CAND_COMPRESS, CAND_DECOMPRESS, CAND_NONE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.router import InputVC, Router
+
+
+def packet_mode(packet) -> Optional[str]:
+    """Step-1's packet filter: the engine job a packet is eligible for,
+    from its own fields alone.  Only an engine completion changes those
+    fields, which is what lets the fabric mirror the answer
+    (``FabricState.pkt_cand``) for the native router sweep."""
+    if packet is None or not packet.carries_data:
+        return None
+    if packet.poisoned:
+        # An engine fault already hit this packet; it stays on the
+        # uncompressed / NI-decompression fallback path.
+        return None
+    if packet.is_compressed:
+        return JOB_DECOMPRESS if packet.decompress_at_dst else None
+    if packet.compressible and packet.line is not None:
+        return JOB_COMPRESS
+    return None
+
+
+_CAND_CODES = {None: CAND_NONE, JOB_COMPRESS: CAND_COMPRESS,
+               JOB_DECOMPRESS: CAND_DECOMPRESS}
+
+
+def candidate_code(packet) -> int:
+    """:func:`packet_mode` as a ``FabricState.pkt_cand`` code."""
+    return _CAND_CODES[packet_mode(packet)]
 
 
 class DiscoArbitrator:
@@ -56,20 +84,9 @@ class DiscoArbitrator:
 
     # -- step 1: the packet filter ------------------------------------------
     def _mode_for(self, vc: "InputVC") -> Optional[str]:
-        packet = vc.packet
-        if packet is None or not packet.carries_data:
-            return None
-        if packet.poisoned:
-            # An engine fault already hit this packet; it stays on the
-            # uncompressed / NI-decompression fallback path.
-            return None
         if vc.out_port < 0:
             return None  # RC has not resolved a direction yet
-        if packet.is_compressed and packet.decompress_at_dst:
-            return JOB_DECOMPRESS
-        if not packet.is_compressed and packet.compressible:
-            return JOB_COMPRESS
-        return None
+        return packet_mode(vc.packet)
 
     # -- step 2: confidence counting ------------------------------------------
     def confidence(self, vc: "InputVC", mode: str) -> float:

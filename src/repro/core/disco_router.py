@@ -2,11 +2,16 @@
 
 Two components are added to the conventional 3-stage router: the *DISCO
 compressor* attached to the input buffers, and the *DISCO arbitrator*
-cooperating with RC/VA/SA.  The arbitrator sees the allocation losers the
-moment they lose (the hook runs inside the SA stage) plus the packets still
-waiting for a downstream VC, computes their confidence and, when it clears
-the threshold, hands the packet to the engine while the shadow copy stays
-schedulable in the VC.
+cooperating with RC/VA/SA.  The arbitrator sees this cycle's allocation
+losers (before route computation can change any output port) plus the
+packets still waiting for a downstream VC, computes their confidence and,
+when it clears the threshold, hands the packet to the engine while the
+shadow copy stays schedulable in the VC.
+
+The baseline stages are the plain router's; only :meth:`DiscoRouter.post_tick`
+(arbitrator, RC, engine) is DISCO's own.  The native router sweep
+(:mod:`repro.noc.native`) runs SA/ST/VA of a DISCO router in C and calls
+``post_tick`` itself, only on the cycles it has work.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.registry import get_algorithm
-from repro.core.arbitrator import DiscoArbitrator
+from repro.core.arbitrator import DiscoArbitrator, candidate_code
 from repro.core.config import DiscoConfig
 from repro.core.engine import DiscoCompressorEngine
 from repro.noc.config import NocConfig
@@ -40,9 +45,38 @@ class DiscoRouter(Router):
         self.disco = disco
         self.engine = DiscoCompressorEngine(self, disco, algorithm)
         self.arbitrator = DiscoArbitrator(self, disco, self.engine)
+        self.fs.candidate_filter = candidate_code
 
     def tick(self, cycle: Optional[int] = None) -> None:
-        super().tick(cycle)
+        sa, va, rc = self._stage_lists()
+        candidates = None
+        if sa is not None:
+            losers, blocked = self._switch_allocation(sa)
+            if losers is not None or blocked is not None:
+                candidates = (losers or []) + (blocked or [])
+        if va is not None:
+            self._vc_allocation(va)
+        self.post_tick(candidates, rc)
+
+    def post_tick(
+        self,
+        candidates: Optional[List[InputVC]],
+        routed: Optional[List[InputVC]],
+    ) -> None:
+        """The DISCO half of a cycle, after SA/ST and VA: the arbitrator
+        over ``candidates`` (this cycle's SA losers, then its SA-blocked
+        VCs), route computation for ``routed``, the arbitrator over the
+        VA-blocked VCs, and one engine cycle.
+
+        The first ``consider`` must precede RC: ``local_contention`` reads
+        every VC's ``out_port``, which RC writes.  It may follow VA, which
+        changes nothing the arbitrator or the engine admission reads.
+        """
+        cycle = self.network.cycle
+        if candidates:
+            self.arbitrator.consider(candidates, cycle)
+        if routed:
+            self._route_computation(routed)
         # Packets stuck in VC allocation are idle candidates too: they have
         # a routed direction but no downstream VC (step-1 counts both VA
         # and SA losers).
@@ -52,8 +86,8 @@ class DiscoRouter(Router):
             if vc.state == VC_VA and vc.wait_cycles > 0
         ]
         if va_blocked:
-            self.arbitrator.consider(va_blocked, self.network.cycle)
-        self.engine.tick(self.network.cycle)
+            self.arbitrator.consider(va_blocked, cycle)
+        self.engine.tick(cycle)
 
     def has_work(self) -> bool:
         return super().has_work() or self.engine.busy()
@@ -73,10 +107,6 @@ class DiscoRouter(Router):
         self.arbitrator.load_state(state["arbitrator"])
 
     # -- DISCO hook implementations ------------------------------------------
-    def _post_switch_allocation(self, losers: List[InputVC]) -> None:
-        if losers:
-            self.arbitrator.consider(losers, self.network.cycle)
-
     def _can_send(self, vc: InputVC) -> bool:
         job = vc.engine_job
         if job is not None:

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.delta import SeparateDeltaSession
 from repro.core.config import DiscoConfig
+from repro.noc.fabric_state import ENGINE_ABORTABLE, ENGINE_IDLE, ENGINE_LOCKED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.router import InputVC, Router
@@ -96,6 +97,22 @@ class DiscoCompressorEngine:
         self._supports_separate = (
             config.separate_compression and algorithm.name == "delta"
         )
+        router.fs.engine_cap[router.node] = config.engines_per_router
+
+    # -- fabric mirrors (read by the native router sweep) ----------------------
+    def _mirror_vc(self, vc: "InputVC") -> None:
+        """``engine_vc`` of ``vc`` from its job link (``_can_send``'s lock)."""
+        job = vc.engine_job
+        if job is None:
+            code = ENGINE_IDLE
+        elif job.committed or not self.config.non_blocking:
+            code = ENGINE_LOCKED
+        else:
+            code = ENGINE_ABORTABLE
+        vc.fs.engine_vc[vc.vid] = code
+
+    def _mirror_jobs(self) -> None:
+        self.router.fs.engine_jobs[self.router.node] = len(self.jobs)
 
     # -- capacity ------------------------------------------------------------
     def has_capacity(self) -> bool:
@@ -145,6 +162,8 @@ class DiscoCompressorEngine:
             )
         self.jobs.append(job)
         vc.engine_job = job
+        self._mirror_vc(vc)
+        self._mirror_jobs()
         tracer = self.router.network.tracer
         if tracer is not None:
             tracer.on_engine(cycle, packet, self.router.node, mode, "start")
@@ -159,6 +178,7 @@ class DiscoCompressorEngine:
             raise RuntimeError("cannot abort a committed streaming job")
         job.valid = False
         vc.engine_job = None
+        self._mirror_vc(vc)
         self.router.network.stats.aborted_jobs += 1
         tracer = self.router.network.tracer
         if tracer is not None and job.packet is not None:
@@ -222,6 +242,9 @@ class DiscoCompressorEngine:
             self.jobs.append(job)
             if saved["linked"]:
                 vc.engine_job = job
+        for vc in self.router.all_vcs:
+            self._mirror_vc(vc)
+        self._mirror_jobs()
 
     # -- per-cycle progress -------------------------------------------------------
     def tick(self, cycle: int) -> None:
@@ -231,13 +254,22 @@ class DiscoCompressorEngine:
         for job in self.jobs:
             if not job.valid:
                 continue  # aborted; drop silently
+            vc = job.vc
             if self._advance(job, cycle):
-                continue
-            still_running.append(job)
+                # The completion rewrote packet fields the fabric mirrors
+                # (size, compressed/compressible/poisoned flags).
+                vc.engine_job = None
+                vc.fs.mirror_packet(vc.vid, job.packet)
+            else:
+                still_running.append(job)
+            # A streaming job locks its shadow once flits enter the engine.
+            self._mirror_vc(vc)
         self.jobs = still_running
+        self._mirror_jobs()
 
     def _advance(self, job: EngineJob, cycle: int) -> bool:
-        """Progress one job; returns True when it finished."""
+        """Progress one job; returns True when it finished (the caller
+        unlinks it from its VC)."""
         vc = job.vc
         packet = job.packet
         if vc.packet is not packet:  # pragma: no cover - defensive
@@ -255,7 +287,6 @@ class DiscoCompressorEngine:
                 return False
             if action == "bitflip":
                 self._complete_degraded(job)
-                vc.engine_job = None
                 self._trace_engine(job, cycle, "degraded")
                 return True
         if job.separate:
@@ -269,7 +300,6 @@ class DiscoCompressorEngine:
             self._complete_whole_compression(job)
         else:
             self._complete_decompression(job)
-        vc.engine_job = None
         self._trace_engine(job, cycle, "end")
         return True
 
@@ -305,7 +335,6 @@ class DiscoCompressorEngine:
         if job.consumed < payload_flits:
             return False
         self._complete_streaming(job)
-        vc.engine_job = None
         return True
 
     def _complete_streaming(self, job: EngineJob) -> None:

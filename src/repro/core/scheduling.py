@@ -16,7 +16,7 @@ very idle time the arbitrator then exploits.
 from __future__ import annotations
 
 from repro.noc.flit import Packet, PacketType
-from repro.noc.network import constant_priority
+from repro.noc.network import packet_state_priority
 
 #: Normal priority for critical-path traffic.
 PRIORITY_NORMAL = 1
@@ -24,14 +24,18 @@ PRIORITY_NORMAL = 1
 PRIORITY_DEMOTED = 0
 
 
-@constant_priority
+@packet_state_priority
 def baseline_priority(packet: Packet) -> int:
     """Conventional scheduling: all packets equal (round-robin breaks ties)."""
     return PRIORITY_NORMAL
 
 
+@packet_state_priority
 def disco_priority(packet: Packet) -> int:
-    """The §3.3-B policy (rule 2 applies to response packets only)."""
+    """The §3.3-B policy (rule 2 applies to response packets only).
+
+    Reads only the packet type and the compressed/compressible flags,
+    which change solely inside DISCO engine completions."""
     if (
         packet.ptype is PacketType.RESPONSE
         and packet.compressible

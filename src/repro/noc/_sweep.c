@@ -1,15 +1,23 @@
 /*
- * Native router sweep: the plain router's SA/ST and VA stages over the
- * fabric's struct-of-arrays plane (repro.noc.fabric_state).
+ * Native router sweep: the SA/ST and VA stages of plain and DISCO routers
+ * over the fabric's struct-of-arrays plane (repro.noc.fabric_state).
  *
  * Plain C99, no Python headers.  repro.noc.native compiles this file
  * once into a shared library, loads it with ctypes and calls
- * repro_sweep() once per run of consecutive plain routers in the
- * net.routers phase.  The C side owns every array update of switch
+ * repro_sweep() once per run of consecutive natively swept routers in
+ * the net.routers phase.  The C side owns every array update of switch
  * allocation, switch traversal (tail release included) and VC
  * allocation; everything that touches Python objects is written to an
  * ordered event buffer the caller replays: link arrivals, ejections,
- * unbinding of released VCs and route computation.
+ * unbinding of released VCs, engine aborts and route computation.
+ *
+ * A DISCO router (engine_cap > 0) differs from a plain one only in its
+ * SA: a VC whose engine job is locked cannot request, arbitration takes
+ * the highest pkt_prio first, and a head flit sent from a VC with an
+ * abortable job aborts that job.  Its arbitrator and engine run in
+ * Python (DiscoRouter.post_tick): when they may have work this cycle,
+ * the call stops right after that router and hands it back (see
+ * repro_sweep).
  *
  * The arithmetic mirrors Router._switch_allocation, _send_flit and
  * _vc_allocation line for line; tests/test_native_sweep.py holds the
@@ -20,7 +28,7 @@
 
 #include <stdint.h>
 
-#define SWEEP_ABI 1
+#define SWEEP_ABI 2
 
 #define VC_IDLE 0
 #define VC_ROUTING 1
@@ -28,6 +36,11 @@
 #define VC_ACTIVE 3
 
 #define PORT_LOCAL 0
+
+/* engine_vc codes (repro.noc.fabric_state). */
+#define ENGINE_IDLE 0
+#define ENGINE_ABORTABLE 1
+#define ENGINE_LOCKED 2
 
 /* Largest router this file handles; bigger fabrics use the Python sweep. */
 #define MAX_ROUTER_VCS 512
@@ -37,19 +50,29 @@ enum {
     D_STATE, D_FLITS_PRESENT, D_FLITS_RECEIVED, D_FLITS_SENT, D_INCOMING,
     D_RESERVED, D_OUT_PORT, D_OUT_VC_CLASS, D_OUT_VC, D_WAIT_CYCLES,
     D_CREDIT_DEBT, D_WEDGED_UNTIL, D_EJECT_TOKENS, D_PKT_SIZE, D_PKT_VNET,
+    D_PKT_PRIO, D_PKT_CAND, D_ENGINE_VC, D_ENGINE_JOBS, D_ENGINE_CAP,
     D_SA_RR, D_VC_BASE, D_PORT_BASE, D_RADIX, D_DOWN_VID, D_VA_MASK,
     D_VCS_PER_PORT, D_DEPTH, D_SAF, D_WHOLE_PACKET, D_RR_STRIDE, D_LEN
 };
 
-/* Counter slots, rewritten by every call. */
-enum { C_TICKED, C_SENDS, C_LINK_FLITS, C_VA_GRANTS, C_SA_LOSSES, C_ERR_VID, C_LEN };
+/* Counter slots, rewritten by every call.  C_YIELD is the index in
+ * nodes[] of the router the call stopped after (-1: it swept them all);
+ * C_RC_START is the event index where that router's RC events begin. */
+enum {
+    C_TICKED, C_SENDS, C_LINK_FLITS, C_VA_GRANTS, C_SA_LOSSES, C_ERR_VID,
+    C_DISCO_TICKED, C_YIELD, C_RC_START, C_LEN
+};
 
-/* Event codes: (code, vid, target vid) triples. */
+/* Event codes: (code, vid, target vid) triples.  EV_ABORT flags a send
+ * whose VC's engine job must be aborted first; EV_CANDIDATE names an
+ * arbitrator candidate of the router the call stopped after. */
 #define EV_ROUTE 1
 #define EV_SEND 2
 #define EV_HEAD 4
 #define EV_TAIL 8
 #define EV_EJECT 16
+#define EV_ABORT 32
+#define EV_CANDIDATE 64
 
 /* Negative return values: the caller raises the Python path's error. */
 #define ERR_TAIL_BUFFERED (-1)
@@ -61,6 +84,7 @@ typedef struct {
     int64_t *state, *flits_present, *flits_received, *flits_sent, *incoming;
     int64_t *reserved, *out_port, *out_vc_class, *out_vc, *wait_cycles;
     int64_t *credit_debt, *wedged_until, *eject_tokens, *pkt_size, *pkt_vnet;
+    int64_t *pkt_prio, *pkt_cand, *engine_vc, *engine_jobs, *engine_cap;
     int64_t *sa_rr;
     const int64_t *vc_base, *port_base, *radix, *down_vid, *va_mask;
     int64_t vcs_per_port, depth, saf, whole_packet, rr_stride;
@@ -88,6 +112,11 @@ static void unpack(const int64_t *d, fabric *f)
     f->eject_tokens = ptr(d, D_EJECT_TOKENS);
     f->pkt_size = ptr(d, D_PKT_SIZE);
     f->pkt_vnet = ptr(d, D_PKT_VNET);
+    f->pkt_prio = ptr(d, D_PKT_PRIO);
+    f->pkt_cand = ptr(d, D_PKT_CAND);
+    f->engine_vc = ptr(d, D_ENGINE_VC);
+    f->engine_jobs = ptr(d, D_ENGINE_JOBS);
+    f->engine_cap = ptr(d, D_ENGINE_CAP);
     f->sa_rr = ptr(d, D_SA_RR);
     f->vc_base = ptr(d, D_VC_BASE);
     f->port_base = ptr(d, D_PORT_BASE);
@@ -106,9 +135,12 @@ int64_t repro_sweep_abi(void)
     return SWEEP_ABI;
 }
 
-/* Router.has_work: a bound VC, a flit in flight toward it, or a reservation. */
-static int has_work(const fabric *f, int64_t lo, int64_t hi)
+/* Router.has_work: a bound VC, a flit in flight toward it, or a
+ * reservation; DiscoRouter.has_work adds a job in the engine. */
+static int has_work(const fabric *f, int64_t node, int64_t lo, int64_t hi)
 {
+    if (f->engine_jobs[node] > 0)
+        return 1;
     for (int64_t i = lo; i < hi; i++) {
         if (f->state[i] != VC_IDLE || f->incoming[i] || f->reserved[i])
             return 1;
@@ -126,14 +158,19 @@ static void emit(int64_t *events, int64_t *n_ev, int64_t code, int64_t vid,
     (*n_ev)++;
 }
 
-/* Router._send_flit for a plain router (no hooks, no tracer). */
+/* Router._send_flit without a tracer; DiscoRouter._on_first_flit_sent
+ * becomes EV_ABORT. */
 static int64_t send_flit(const fabric *f, int64_t node, int64_t i,
                          int64_t *events, int64_t *n_ev, int64_t *counters)
 {
+    int64_t code = EV_SEND;
+    if (f->flits_sent[i] == 0 && f->engine_vc[i] == ENGINE_ABORTABLE) {
+        f->engine_vc[i] = ENGINE_IDLE;
+        code |= EV_ABORT;
+    }
     f->flits_present[i]--;
     int64_t sent = ++f->flits_sent[i];
     counters[C_SENDS]++;
-    int64_t code = EV_SEND;
     if (sent == 1)
         code |= EV_HEAD;
     int tail = sent == f->pkt_size[i];
@@ -162,32 +199,44 @@ static int64_t send_flit(const fabric *f, int64_t node, int64_t i,
         f->out_vc_class[i] = -1;
         f->out_vc[i] = -1;
         f->wait_cycles[i] = 0;
+        f->engine_vc[i] = ENGINE_IDLE;
     }
     return 0;
 }
 
-/* Router._switch_allocation under a constant priority policy: round
- * robin per output port, output ports in ascending order, one winner
- * per input port. */
+/* The arbitrator's candidates of one router tick, in the order
+ * DiscoRouter hands them over: SA losers (output ports ascending), then
+ * SA-blocked VCs, then VA-blocked VCs. */
+typedef struct {
+    int64_t vid[MAX_ROUTER_VCS];
+    int64_t n;     /* all of them */
+    int64_t n_sa;  /* the SA losers and blocked VCs, vid[0..n_sa) */
+} candidates;
+
+/* Router._switch_allocation: per output port in ascending order, the
+ * highest pkt_prio wins, round robin among equals (Router._arbitrate);
+ * one winner per input port. */
 static int64_t switch_allocation(const fabric *f, int64_t node, int64_t now,
                                  const int64_t *sa, int64_t n_sa,
                                  int64_t *events, int64_t *n_ev,
-                                 int64_t *counters)
+                                 int64_t *counters, candidates *cand)
 {
     const int64_t lo = f->vc_base[node];
     const int64_t radix = f->radix[node];
     const int64_t vpp = f->vcs_per_port;
     const int64_t depth = f->depth;
     const int eject_ok = f->eject_tokens[node] > 0;
-    int64_t req[MAX_ROUTER_VCS];
-    int64_t n_req = 0;
+    int64_t req[MAX_ROUTER_VCS], blocked[MAX_ROUTER_VCS];
+    int64_t n_req = 0, n_blocked = 0;
     uint64_t ports = 0;
 
     for (int64_t k = 0; k < n_sa; k++) {
         int64_t i = sa[k];
         int64_t out = f->out_port[i];
         int ok;
-        if (f->wedged_until[i] > now) {
+        if (f->engine_vc[i] == ENGINE_LOCKED) {
+            ok = 0; /* DiscoRouter._can_send: the shadow is locked */
+        } else if (f->wedged_until[i] > now) {
             ok = 0; /* fault-injected wedge */
         } else if (f->saf && f->flits_received[i] < f->pkt_size[i]) {
             ok = 0;
@@ -200,13 +249,12 @@ static int64_t switch_allocation(const fabric *f, int64_t node, int64_t now,
         }
         if (!ok) {
             f->wait_cycles[i]++;
+            blocked[n_blocked++] = i;
         } else {
             req[n_req++] = i;
             ports |= (uint64_t)1 << out;
         }
     }
-    if (n_req == 0)
-        return 0;
 
     const int64_t stride = f->rr_stride;
     const int64_t span = stride * (radix > 8 ? radix : 8);
@@ -218,7 +266,7 @@ static int64_t switch_allocation(const fabric *f, int64_t node, int64_t now,
         if (!((ports >> out) & 1))
             continue;
         int64_t pointer = rr[out];
-        int64_t best = -1, best_key = 0, best_dist = 0;
+        int64_t best = -1, best_key = 0, best_dist = 0, best_prio = 0;
         for (int64_t k = 0; k < n_req; k++) {
             int64_t i = req[k];
             if (f->out_port[i] != out)
@@ -229,10 +277,13 @@ static int64_t switch_allocation(const fabric *f, int64_t node, int64_t now,
                 continue;
             int64_t key = in_port * stride + local % vpp;
             int64_t dist = ((key - pointer) % span + span) % span;
-            if (best < 0 || dist < best_dist) {
+            int64_t prio = f->pkt_prio[i];
+            if (best < 0 || prio > best_prio
+                || (prio == best_prio && dist < best_dist)) {
                 best = i;
                 best_key = key;
                 best_dist = dist;
+                best_prio = prio;
             }
         }
         if (best >= 0) {
@@ -245,9 +296,13 @@ static int64_t switch_allocation(const fabric *f, int64_t node, int64_t now,
             if (f->out_port[i] == out && i != best) {
                 f->wait_cycles[i]++;
                 counters[C_SA_LOSSES]++;
+                cand->vid[cand->n++] = i;
             }
         }
     }
+    for (int64_t k = 0; k < n_blocked; k++)
+        cand->vid[cand->n++] = blocked[k];
+    cand->n_sa = cand->n;
     for (int64_t w = 0; w < n_win; w++) {
         int64_t err = send_flit(f, node, winners[w], events, n_ev, counters);
         if (err)
@@ -259,7 +314,7 @@ static int64_t switch_allocation(const fabric *f, int64_t node, int64_t now,
 /* Router._vc_allocation against the neighbour's input-port VCs. */
 static int64_t vc_allocation(const fabric *f, int64_t node,
                              const int64_t *va, int64_t n_va,
-                             int64_t *counters)
+                             int64_t *counters, candidates *cand)
 {
     const int64_t vpp = f->vcs_per_port;
     const int64_t depth = f->depth;
@@ -303,6 +358,7 @@ static int64_t vc_allocation(const fabric *f, int64_t node,
         }
         if (target < 0) {
             f->wait_cycles[i]++;
+            cand->vid[cand->n++] = i;
             continue;
         }
         f->reserved[target] = 1;
@@ -313,7 +369,31 @@ static int64_t vc_allocation(const fabric *f, int64_t node,
     return 0;
 }
 
-/* Router.tick: partition the VCs by stage, then SA/ST, VA, RC. */
+/*
+ * Whether DiscoRouter.post_tick may act after this tick: the engine holds
+ * a job, or some candidate passes everything DiscoArbitrator.consider and
+ * DiscoCompressorEngine.can_accept test short of the confidence
+ * threshold.  It may say yes needlessly, never no wrongly.
+ */
+static int needs_post_tick(const fabric *f, int64_t node,
+                           const candidates *cand)
+{
+    if (f->engine_jobs[node] > 0)
+        return 1;
+    if (f->engine_cap[node] <= 0)
+        return 0; /* a plain router */
+    /* No job held, so the engine has room (engine_jobs < engine_cap). */
+    for (int64_t k = 0; k < cand->n; k++) {
+        int64_t i = cand->vid[k];
+        if (f->pkt_cand[i] && f->out_port[i] >= 0 && f->flits_sent[i] == 0)
+            return 1;
+    }
+    return 0;
+}
+
+/* Router.tick: partition the VCs by stage, then SA/ST, VA, RC.  Returns
+ * 1 when the router needs DiscoRouter.post_tick: its candidates are in
+ * the event buffer and its RC events start at counters[C_RC_START]. */
 static int64_t tick(const fabric *f, int64_t node, int64_t now,
                     int64_t *events, int64_t *n_ev, int64_t *counters)
 {
@@ -321,6 +401,8 @@ static int64_t tick(const fabric *f, int64_t node, int64_t now,
     const int64_t hi = lo + f->radix[node] * f->vcs_per_port;
     int64_t sa[MAX_ROUTER_VCS], va[MAX_ROUTER_VCS], rc[MAX_ROUTER_VCS];
     int64_t n_sa = 0, n_va = 0, n_rc = 0;
+    candidates cand;
+    cand.n = cand.n_sa = 0;
     if (hi - lo > MAX_ROUTER_VCS) {
         counters[C_ERR_VID] = lo;
         return ERR_ROUTER_TOO_BIG;
@@ -338,20 +420,26 @@ static int64_t tick(const fabric *f, int64_t node, int64_t now,
     }
     if (n_sa) {
         int64_t err = switch_allocation(f, node, now, sa, n_sa, events, n_ev,
-                                        counters);
+                                        counters, &cand);
         if (err)
             return err;
     }
     if (n_va) {
-        int64_t err = vc_allocation(f, node, va, n_va, counters);
+        int64_t err = vc_allocation(f, node, va, n_va, counters, &cand);
         if (err)
             return err;
+    }
+    int post = needs_post_tick(f, node, &cand);
+    if (post) {
+        for (int64_t k = 0; k < cand.n_sa; k++)
+            emit(events, n_ev, EV_CANDIDATE, cand.vid[k], -1);
+        counters[C_RC_START] = *n_ev;
     }
     /* RC needs Python (routing stays pluggable): after this router's SA
      * events, exactly where Router.tick runs it. */
     for (int64_t k = 0; k < n_rc; k++)
         emit(events, n_ev, EV_ROUTE, rc[k], -1);
-    return 0;
+    return post;
 }
 
 /*
@@ -361,6 +449,13 @@ static int64_t tick(const fabric *f, int64_t node, int64_t now,
  * it still has work afterwards (the kernel re-arms it for the next
  * cycle).  Returns the number of event triples written, or a negative
  * ERR_* code with counters[C_ERR_VID] naming the VC.
+ *
+ * The call stops early, with counters[C_YIELD] = k, right after a DISCO
+ * router k whose arbitrator or engine may act this cycle.  Its status
+ * has bit 0 only: the caller replays the events, runs post_tick, takes
+ * has_work itself and resumes at nodes + k + 1.  Stopping is required,
+ * not a convenience: an engine completion changes flits_present, which
+ * later routers read as credit in the same cycle.
  */
 int64_t repro_sweep(const int64_t *desc, int64_t now, const int64_t *nodes,
                     int64_t n_nodes, int64_t *status, int64_t *events,
@@ -370,20 +465,28 @@ int64_t repro_sweep(const int64_t *desc, int64_t now, const int64_t *nodes,
     unpack(desc, &f);
     for (int k = 0; k < C_LEN; k++)
         counters[k] = 0;
+    counters[C_YIELD] = -1;
     int64_t n_ev = 0;
     for (int64_t k = 0; k < n_nodes; k++) {
         int64_t node = nodes[k];
         int64_t lo = f.vc_base[node];
         int64_t hi = lo + f.radix[node] * f.vcs_per_port;
-        if (!has_work(&f, lo, hi)) {
+        if (!has_work(&f, node, lo, hi)) {
             status[k] = 0;
             continue;
         }
         counters[C_TICKED]++;
-        int64_t err = tick(&f, node, now, events, &n_ev, counters);
-        if (err)
-            return err;
-        status[k] = 1 | (has_work(&f, lo, hi) ? 2 : 0);
+        if (f.engine_cap[node] > 0)
+            counters[C_DISCO_TICKED]++;
+        int64_t post = tick(&f, node, now, events, &n_ev, counters);
+        if (post < 0)
+            return post;
+        if (post) {
+            status[k] = 1;
+            counters[C_YIELD] = k;
+            return n_ev;
+        }
+        status[k] = 1 | (has_work(&f, node, lo, hi) ? 2 : 0);
     }
     return n_ev;
 }

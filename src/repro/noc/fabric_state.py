@@ -31,12 +31,23 @@ Encodings (all fields are signed 64-bit):
 ``eject_tokens``    per-*node* ejection flow-control credits
 ``pkt_size``        mirror of the bound packet's ``size_flits``
 ``pkt_vnet``        mirror of the bound packet's vnet
+``pkt_prio``        mirror of ``network.packet_priority(packet)``
+``pkt_cand``        mirror of the DISCO arbitrator's packet filter
+                    (``CAND_NONE`` / ``CAND_COMPRESS`` / ``CAND_DECOMPRESS``)
+``engine_vc``       the VC's DISCO engine job: ``ENGINE_IDLE``,
+                    ``ENGINE_ABORTABLE`` or ``ENGINE_LOCKED``
+``engine_jobs``     per-*node* ``len(engine.jobs)`` (0 on a plain router)
+``engine_cap``      per-*node* engine slots (0 on a plain router)
 ``sa_rr``           per-(router, output port) SA round-robin pointer
 ==================  =====================================================
 
-``pkt_size``/``pkt_vnet`` are written when a head flit binds a packet, so
-code that cannot see the packet objects (the native sweep) can read
-them; they are derived state, rebuilt from the packets on restore.
+The ``pkt_*`` mirrors are written when a head flit binds a packet
+(:meth:`FabricState.mirror_packet`) and again by the DISCO engine when
+a job completion changes the packet, so code that cannot see the
+packet objects (the native sweep) can read them.  ``engine_vc`` and
+``engine_jobs`` are written by the engine whenever a job starts,
+commits, aborts or ends.  All of them are derived state: never
+checkpointed, rebuilt from the live objects on restore.
 
 The arrays are fixed-size for the life of the fabric (topologies never
 grow mid-run), which is what makes binding to their addresses safe: an
@@ -68,6 +79,20 @@ VC_FIELDS = (
     "credit_debt",
     "wedged_until",
 )
+
+#: ``pkt_cand`` codes: which engine job the arbitrator's packet filter
+#: would pick (``DiscoArbitrator`` adds the routed-direction test).
+CAND_NONE = 0
+CAND_COMPRESS = 1
+CAND_DECOMPRESS = 2
+
+#: ``engine_vc`` codes.  A locked job keeps its shadow packet from
+#: being scheduled (a committed streaming job, or any job without
+#: non-blocking support); an abortable one is dropped when the shadow
+#: sends its head flit.
+ENGINE_IDLE = 0
+ENGINE_ABORTABLE = 1
+ENGINE_LOCKED = 2
 
 #: Fields initialised to -1 rather than 0.
 _MINUS_ONE_FIELDS = frozenset(("out_port", "out_vc_class", "out_vc", "wedged_until"))
@@ -120,9 +145,20 @@ class FabricState:
 
         #: Ejection flow-control credits, one per node (start full).
         self.eject_tokens = array("q", [ejection_bandwidth] * n_nodes)
-        #: Bound-packet mirrors (see the module docstring).
+        #: Bound-packet and engine mirrors (see the module docstring).
         self.pkt_size = array("q", zeros)
         self.pkt_vnet = array("q", zeros)
+        self.pkt_prio = array("q", zeros)
+        self.pkt_cand = array("q", zeros)
+        self.engine_vc = array("q", zeros)
+        self.engine_jobs = array("q", bytes(8 * n_nodes))
+        self.engine_cap = array("q", bytes(8 * n_nodes))
+        #: The ``packet_priority`` policy behind ``pkt_prio`` (the
+        #: network's, set through ``Network.packet_priority``).
+        self.priority = None
+        #: ``packet -> CAND_*`` filter behind ``pkt_cand``; installed by
+        #: the first DISCO router, ``None`` on a fabric without engines.
+        self.candidate_filter = None
         #: SA round-robin pointers, one per (router, output port), from
         #: ``port_base[node]``; each router indexes its slice as
         #: ``Router._sa_rr``.
@@ -155,16 +191,26 @@ class FabricState:
         """Buffered + in-flight flits across every VC (telemetry gauge)."""
         return sum(self.flits_present) + sum(self.incoming)
 
+    def mirror_packet(self, vid: int, packet) -> None:
+        """Write the ``pkt_*`` mirrors of the packet bound to ``vid``."""
+        self.pkt_size[vid] = packet.size_flits
+        self.pkt_vnet[vid] = packet.ptype.vnet
+        self.pkt_prio[vid] = self.priority(packet)
+        candidate = self.candidate_filter
+        self.pkt_cand[vid] = 0 if candidate is None else candidate(packet)
+
     def refresh_mirrors(self) -> None:
-        """Rebuild ``pkt_size``/``pkt_vnet`` from the bound packets (after
-        a restore: the mirrors are derived state, never checkpointed)."""
+        """Rebuild the ``pkt_*`` mirrors from the bound packets (after a
+        restore or a policy change: the mirrors are derived state, never
+        checkpointed).  The engine mirrors are the engines' own."""
         for vid, packet in enumerate(self.packet):
             if packet is None:
                 self.pkt_size[vid] = 0
                 self.pkt_vnet[vid] = 0
+                self.pkt_prio[vid] = 0
+                self.pkt_cand[vid] = 0
             else:
-                self.pkt_size[vid] = packet.size_flits
-                self.pkt_vnet[vid] = packet.ptype.vnet
+                self.mirror_packet(vid, packet)
 
     # -- checkpointing -------------------------------------------------------
     def state_dict(self) -> dict:

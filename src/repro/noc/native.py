@@ -1,24 +1,35 @@
-"""The native router sweep: the plain router's pipeline in C.
+"""The native router sweep: the plain and DISCO routers' pipeline in C.
 
 ``_sweep.c`` (plain C99, no Python headers) runs switch allocation,
-switch traversal and VC allocation of every plain :class:`Router` over
-the fabric's struct-of-arrays plane (:mod:`repro.noc.fabric_state`).
-This module compiles it once with the local C compiler, loads it with
-:mod:`ctypes` and installs :class:`NativeSweep` as the event kernel's
-``net.routers`` phase driver.
+switch traversal and VC allocation of every :class:`Router` and
+:class:`~repro.core.disco_router.DiscoRouter` over the fabric's
+struct-of-arrays plane (:mod:`repro.noc.fabric_state`).  This module
+compiles it once with the local C compiler, loads it with :mod:`ctypes`
+and installs :class:`NativeSweep` as the event kernel's ``net.routers``
+phase driver.
 
 Split of the work, per cycle:
 
-- **C**, one call per run of consecutive plain routers, in node order:
-  partition each router's VCs by stage; SA with the wedge, SAF, credit
-  and eject-token checks, round-robin arbitration and one winner per
-  input port; ST's array updates, tail release included; VA against the
+- **C**, one call per run of consecutive natively swept routers, in
+  node order: partition each router's VCs by stage; SA with the engine
+  lock, wedge, SAF, credit and eject-token checks, priority-then-round-
+  robin arbitration on the ``pkt_prio`` mirror and one winner per input
+  port; ST's array updates, tail release included; VA against the
   neighbour VC tables.  Each router is skipped or ticked exactly as the
   kernel's default visit would, so wake counts match the Python path.
 - **Python**, replaying the ordered event buffer the call wrote: link
   arrivals, ejections (``_eject_spent``, ``complete_ejection``),
-  unbinding released VCs, route computation through ``network.route``
-  (routing stays pluggable), and the stats deltas.
+  unbinding released VCs, engine aborts, route computation through
+  ``network.route`` (routing stays pluggable), and the stats deltas.
+- **Post-work**: when a DISCO router's arbitrator or engine may act this
+  cycle (the engine holds a job, or an SA/VA loser is a compression
+  candidate the engine has room for), the call stops right after that
+  router.  Python replays the events up to the router's RC events, runs
+  ``DiscoRouter.post_tick`` (arbitrator, RC, arbitrator over VA-blocked
+  VCs, engine cycle — the very code its Python ``tick`` ends with), reads
+  ``has_work`` and resumes C at the next router.  Engine completions
+  change ``flits_present``, which later routers read as credit in the
+  same cycle, so the stop cannot be deferred.
 
 Side effects keep their order because a sweep never acts on another
 router's replayed effects within the same cycle: arrivals land a link
@@ -30,10 +41,11 @@ priority policies are attached after the network is built:
 
 - the whole sweep runs in Python while a tracer, fault controller,
   reliability layer or invariant monitor is attached, ``can_eject`` is
-  replaced, or ``packet_priority`` is not a constant policy
-  (:func:`repro.noc.network.constant_priority`);
-- a router whose type is not exactly :class:`Router` (the DISCO router)
-  is ticked in Python after the pending native run is flushed.
+  replaced, or ``packet_priority`` is not a packet-state policy
+  (:func:`repro.noc.network.packet_state_priority`);
+- a router whose type is neither exactly :class:`Router` nor exactly
+  ``DiscoRouter`` is ticked in Python after the pending native run is
+  flushed.
 
 If no compiler is found or the library fails to build or load, the
 network keeps the Python path and says why, once per process: in a log
@@ -72,7 +84,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SOURCE = Path(__file__).with_name("_sweep.c")
 CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
 #: Must equal ``SWEEP_ABI`` in ``_sweep.c``.
-ABI = 1
+ABI = 2
 #: ``MAX_ROUTER_VCS`` in ``_sweep.c``; VC and port masks are 64-bit.
 MAX_ROUTER_VCS = 512
 MAX_MASK_BITS = 64
@@ -82,7 +94,10 @@ EV_ROUTE = 1
 EV_HEAD = 4
 EV_TAIL = 8
 EV_EJECT = 16
-C_TICKED, C_SENDS, C_LINK_FLITS, C_VA_GRANTS, C_SA_LOSSES, C_ERR_VID, C_LEN = range(7)
+EV_ABORT = 32
+EV_CANDIDATE = 64
+(C_TICKED, C_SENDS, C_LINK_FLITS, C_VA_GRANTS, C_SA_LOSSES, C_ERR_VID,
+ C_DISCO_TICKED, C_YIELD, C_RC_START, C_LEN) = range(10)
 ERR_TAIL_BUFFERED = -1
 ERR_PACKET_TOO_BIG = -2
 ERR_NO_NEIGHBOR = -3
@@ -279,7 +294,8 @@ class NativeSweep:
             fs.state, fs.flits_present, fs.flits_received, fs.flits_sent,
             fs.incoming, fs.reserved, fs.out_port, fs.out_vc_class, fs.out_vc,
             fs.wait_cycles, fs.credit_debt, fs.wedged_until, fs.eject_tokens,
-            fs.pkt_size, fs.pkt_vnet, fs.sa_rr, *self._tables,
+            fs.pkt_size, fs.pkt_vnet, fs.pkt_prio, fs.pkt_cand, fs.engine_vc,
+            fs.engine_jobs, fs.engine_cap, fs.sa_rr, *self._tables,
         ]
         self._desc = array("q", [_addr(a) for a in arrays] + [
             fs.vcs_per_port,
@@ -298,9 +314,18 @@ class NativeSweep:
             _addr(self._events), _addr(self._counters),
         )
         self._reason: Optional[str] = None
-        #: Router types never change, so an all-plain fabric skips the
-        #: per-router type split on every sweep.
-        self._all_plain = all(type(r) is Router for r in network.routers)
+        # Import cycle guard: the DISCO layer builds on this package.
+        from repro.core.disco_router import DiscoRouter
+
+        #: Per node: swept in C (exactly Router or exactly DiscoRouter).
+        #: Router types never change, so an all-native fabric skips the
+        #: per-router split on every sweep.
+        self._in_c = [type(r) in (Router, DiscoRouter) for r in network.routers]
+        self._all_in_c = all(self._in_c)
+        #: DISCO router ticks swept in C, and the post-work visits among
+        #: them that returned to Python (deterministic work counters).
+        self.disco_ticks = 0
+        self.post_ticks = 0
 
     # -- eligibility ---------------------------------------------------------
     def python_reason(self) -> Optional[str]:
@@ -316,8 +341,8 @@ class NativeSweep:
             return "monitor attached"
         if getattr(network.can_eject, "__func__", None) is not _base_can_eject():
             return "can_eject replaced"
-        if not getattr(network.packet_priority, "constant_priority", False):
-            return "packet_priority is not a constant policy"
+        if not getattr(network.packet_priority, "packet_state_priority", False):
+            return "packet_priority is not a packet-state policy"
         return None
 
     # -- the sweep -----------------------------------------------------------
@@ -332,14 +357,15 @@ class NativeSweep:
         if reason is not None:
             return None  # the kernel's own sweep: the Python path
         busy: List = []
-        if self._all_plain:
+        if self._all_in_c:
             ticked = self._run_native(cycle, regs, busy)
             return ticked, len(regs) - ticked, busy
         ticked = 0
         run: List = []
+        in_c = self._in_c
         for reg in regs:
             router = reg.component
-            if type(router) is Router:
+            if in_c[router.node]:
                 run.append(reg)
                 continue
             if run:
@@ -355,22 +381,55 @@ class NativeSweep:
         return ticked, len(regs) - ticked, busy
 
     def _run_native(self, cycle: int, run: List, busy: List) -> int:
+        """Sweep ``run`` in C, stopping for DISCO post-work as the C side
+        asks; returns the number of routers ticked."""
         nodes = self._nodes
         for k, reg in enumerate(run):
             nodes[k] = reg.component.node
         desc, nodes_at, status_at, events_at, counters_at = self._args
-        count = self._sweep(
-            desc, cycle, nodes_at, len(run), status_at, events_at, counters_at
-        )
-        if count < 0:
-            self._raise(count)
         status = self._status
-        for k, reg in enumerate(run):
-            if status[k] & 2:
-                busy.append(reg)
-        network = self.network
         counters = self._counters
-        stats = network.stats
+        events = self._events
+        views = self.network.fabric.views
+        n = len(run)
+        start = ticked = 0
+        while True:
+            count = self._sweep(
+                desc, cycle, nodes_at + 8 * start, n - start,
+                status_at + 8 * start, events_at, counters_at,
+            )
+            if count < 0:
+                self._raise(count)
+            ticked += counters[C_TICKED]
+            self._book()
+            stop = counters[C_YIELD]
+            end = n if stop < 0 else start + stop
+            for k in range(start, end):
+                if status[k] & 2:
+                    busy.append(run[k])
+            if stop < 0:
+                if count:
+                    self._replay(cycle, count)
+                return ticked
+            # DISCO post-work for run[end]: its SA events (candidates
+            # last), the arbitrator, its RC, the rest of post_tick.
+            split = counters[C_RC_START]
+            candidates = self._replay(cycle, split)
+            routed = [views[events[j]] for j in range(3 * split + 1, 3 * count, 3)]
+            reg = run[end]
+            router = reg.component
+            router.post_tick(candidates, routed)
+            self.post_ticks += 1
+            if router.has_work():
+                busy.append(reg)
+            start = end + 1
+            if start == n:
+                return ticked
+
+    def _book(self) -> None:
+        """Add one C call's counters to the network stats."""
+        counters = self._counters
+        stats = self.network.stats
         sends = counters[C_SENDS]
         if sends:
             stats.buffer_reads += sends
@@ -379,12 +438,12 @@ class NativeSweep:
             stats.link_flits += counters[C_LINK_FLITS]
         stats.va_grants += counters[C_VA_GRANTS]
         stats.sa_losses += counters[C_SA_LOSSES]
-        if count:
-            self._replay(cycle, count)
-        return counters[C_TICKED]
+        self.disco_ticks += counters[C_DISCO_TICKED]
 
-    def _replay(self, cycle: int, count: int) -> None:
-        """Apply the Python side effects of the C call, in its order."""
+    def _replay(self, cycle: int, count: int) -> List:
+        """Apply the Python side effects of the first ``count`` events of
+        the C call, in its order; returns the arbitrator candidates
+        among them."""
         network = self.network
         fs = network.fabric
         packets = fs.packet
@@ -393,6 +452,7 @@ class NativeSweep:
         events = self._events
         due = cycle + network.config.link_latency
         arrivals = None
+        candidates = []
         for j in range(0, 3 * count, 3):
             code = events[j]
             i = events[j + 1]
@@ -403,6 +463,12 @@ class NativeSweep:
                 fs.out_vc_class[i] = NO_CLASS if vc_class is None else vc_class
                 fs.state[i] = VC_VA
                 continue
+            if code == EV_CANDIDATE:
+                candidates.append(views[i])
+                continue
+            if code & EV_ABORT:
+                vc = views[i]
+                vc.router.engine.abort(vc)
             tail = code & EV_TAIL
             if code & EV_EJECT:
                 node = vc_node[i]
@@ -422,6 +488,7 @@ class NativeSweep:
                 vc.router._bound.remove(vc)
                 packets[i] = None
                 fs.engine_job[i] = None
+        return candidates
 
     def _raise(self, code: int) -> None:
         """The Python path's error for a failed C call."""

@@ -63,18 +63,23 @@ def _default_eject(node: int, packet: Packet) -> int:
     return 0
 
 
-def constant_priority(policy: Callable[[Packet], int]) -> Callable[[Packet], int]:
-    """Mark a ``packet_priority`` policy that ranks every packet equally.
+def packet_state_priority(
+    policy: Callable[[Packet], int]
+) -> Callable[[Packet], int]:
+    """Mark a ``packet_priority`` policy that is a pure function of packet
+    fields which only a DISCO engine completion changes.
 
-    Arbitration under such a policy is pure round-robin, which the native
-    router sweep (:mod:`repro.noc.native`) implements; any unmarked policy
-    keeps the routers on the Python path.
+    The fabric then mirrors each bound packet's priority into an array
+    (``FabricState.pkt_prio``) at head accept and after every engine
+    completion, which is what the native router sweep
+    (:mod:`repro.noc.native`) arbitrates on; any unmarked policy keeps
+    the routers on the Python path.
     """
-    policy.constant_priority = True
+    policy.packet_state_priority = True
     return policy
 
 
-@constant_priority
+@packet_state_priority
 def _default_priority(packet: Packet) -> int:
     return 1
 
@@ -405,7 +410,7 @@ class Network:
         # Scheme hooks (see module docstring).
         self.inject_transform: Callable[[int, Packet], int] = _default_inject
         self.eject_transform: Callable[[int, Packet], int] = _default_eject
-        self.packet_priority: Callable[[Packet], int] = _default_priority
+        self.packet_priority = _default_priority
         self._register_components(native_sweep)
 
     def _register_components(self, native_sweep: bool) -> None:
@@ -509,6 +514,17 @@ class Network:
             "flits_ejected": stats.flits_ejected,
             "packets_injected": stats.packets_injected,
         }
+
+    @property
+    def packet_priority(self) -> Callable[[Packet], int]:
+        """The §3.3-B scheduling policy; setting it re-mirrors the
+        priority of every bound packet (``FabricState.pkt_prio``)."""
+        return self.fabric.priority
+
+    @packet_priority.setter
+    def packet_priority(self, policy: Callable[[Packet], int]) -> None:
+        self.fabric.priority = policy
+        self.fabric.refresh_mirrors()
 
     # -- clock ----------------------------------------------------------------
     @property

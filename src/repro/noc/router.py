@@ -17,15 +17,16 @@ struct-of-arrays layer (:class:`repro.noc.fabric_state.FabricState`),
 indexed by the VC's flat ``vid``.  :class:`InputVC` is a typed *view*
 onto that layer — its properties keep every existing call site (faults,
 reliability, diagnostics, the DISCO engine) working unchanged, while the
-per-cycle pipeline below indexes the arrays directly.  For plain routers
-the event kernel normally runs the same pipeline natively
+per-cycle pipeline below indexes the arrays directly.  For plain and
+DISCO routers the event kernel normally runs the same pipeline natively
 (:mod:`repro.noc.native`); this Python pipeline is the tick-mode oracle
-and the path every hooked, traced or faulted fabric takes.
+and the path every traced or faulted fabric takes.
 
-:class:`Router` exposes the hook points the DISCO router overrides:
-``_post_switch_allocation`` (receives this cycle's SA losers — the
-compression candidates of §3.2 step-1) and ``_on_flit_sent`` (shadow-packet
-abort, step-3).
+:class:`Router` exposes what the DISCO router builds on: the stage
+lists (:meth:`Router._stage_lists`), the SA losers and blocked VCs
+:meth:`Router._switch_allocation` returns (the compression candidates
+of §3.2 step-1), ``_can_send`` (the shadow-packet lock) and
+``_on_first_flit_sent`` (shadow-packet abort, step-3).
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.noc.config import FlowControl, NocConfig
-from repro.noc.fabric_state import NO_CLASS, NO_PORT, NO_VC, FabricState
+from repro.noc.fabric_state import (
+    ENGINE_IDLE,
+    NO_CLASS,
+    NO_PORT,
+    NO_VC,
+    FabricState,
+)
 from repro.noc.flit import Packet
 from repro.noc.topology import PORT_LOCAL
 
@@ -250,8 +257,7 @@ class InputVC:
                     f"port {self.port} vc {self.vc_index}"
                 )
             fs.packet[i] = packet
-            fs.pkt_size[i] = packet.size_flits
-            fs.pkt_vnet[i] = packet.ptype.vnet
+            fs.mirror_packet(i, packet)
             self.router._bind_vc(self)
             fs.reserved[i] = 0
             fs.state[i] = VC_ROUTING
@@ -304,6 +310,7 @@ class InputVC:
         fs.out_vc_class[i] = NO_CLASS
         fs.out_vc[i] = NO_VC
         fs.engine_job[i] = None
+        fs.engine_vc[i] = ENGINE_IDLE
         fs.wait_cycles[i] = 0
 
     # -- checkpointing -------------------------------------------------------
@@ -428,10 +435,6 @@ class Router:
         )
         self._link_latency = config.link_latency
         self._plain_can_send = type(self)._can_send is Router._can_send
-        self._sa_hook = (
-            type(self)._post_switch_allocation
-            is not Router._post_switch_allocation
-        )
         self._ff_hook = (
             type(self)._on_first_flit_sent is not Router._on_first_flit_sent
         )
@@ -501,7 +504,18 @@ class Router:
 
     # -- per-cycle pipeline --------------------------------------------------
     def tick(self, cycle: Optional[int] = None) -> None:
-        """One cycle: SA/ST first, then VA, then RC (stage separation).
+        """One cycle: SA/ST first, then VA, then RC (stage separation)."""
+        sa, va, rc = self._stage_lists()
+        if sa is not None:
+            self._switch_allocation(sa)
+        if va is not None:
+            self._vc_allocation(va)
+        if rc is not None:
+            self._route_computation(rc)
+
+    def _stage_lists(self):
+        """``(sa, va, rc)``: the bound VCs each stage works on this cycle
+        (``None`` for an empty stage).
 
         A single pass over the bound VCs snapshots each stage's work list,
         then the stages run in pipeline order — identical to three separate
@@ -532,15 +546,13 @@ class Router:
                     rc = [vc]
                 else:
                     rc.append(vc)
-        if sa is not None:
-            self._switch_allocation(sa)
-        if va is not None:
-            self._vc_allocation(va)
-        if rc is not None:
-            self._route_computation(rc)
+        return sa, va, rc
 
     # .. stage 3+2b: switch allocation and traversal ..........................
-    def _switch_allocation(self, active: List[InputVC]) -> None:
+    def _switch_allocation(self, active: List[InputVC]):
+        """SA and ST for ``active``; returns ``(losers, blocked)``: the VCs
+        that lost arbitration (in output-port order) and those that could
+        not request at all (``None`` when empty)."""
         network = self.network
         now = network.kernel.cycle
         saf = self._saf
@@ -643,8 +655,7 @@ class Router:
             for vc in losers:
                 wait[vc.vid] += 1
                 stats.sa_losses += 1
-        if self._sa_hook and (losers is not None or blocked is not None):
-            self._post_switch_allocation((losers or []) + (blocked or []))
+        return losers, blocked
 
     def _can_send(self, vc: InputVC) -> bool:
         packet = vc.packet
@@ -865,14 +876,7 @@ class Router:
             key=_by_scan_key,
         )
 
-    # -- DISCO hook points ----------------------------------------------------
-    def _post_switch_allocation(self, losers: List[InputVC]) -> None:
-        """Called each cycle with the VCs that wanted but failed to send.
-
-        The baseline router ignores them; the DISCO router feeds them to
-        the arbitrator as compression candidates (§3.2 step-1).
-        """
-
+    # -- DISCO hook point -----------------------------------------------------
     def _on_first_flit_sent(self, vc: InputVC) -> None:
         """Called when a packet starts leaving this router.
 

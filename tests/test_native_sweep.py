@@ -1,13 +1,19 @@
 """The native router sweep (:mod:`repro.noc.native`) against the Python path.
 
 The Python router pipeline is the oracle: every run here is made twice,
-once with the plain routers swept in C and once with
+once with the plain and DISCO routers swept in C and once with
 ``native_sweep=False``, and the two must agree on every counter and on
 ``result_digest``.  Covered: the five golden digests, a bounded
-hypothesis draw over topology × flow control × VC count × scheme, a
-hybrid DISCO/plain fabric, every fallback trigger (including a missing
-compiler), cross-path checkpoint restores, the per-VC invariants the C
-side relies on, and the kernel's driver-phase instrumentation.
+hypothesis draw over topology × flow control × VC count × scheme ×
+DISCO configuration, a hybrid DISCO/plain fabric, every fallback
+trigger (including a missing compiler), cross-path checkpoint restores
+(DISCO ones paused with an engine job in flight), the per-VC mirrors
+and invariants the C side relies on, how rarely DISCO routers return to
+Python, and the kernel's driver-phase instrumentation.
+
+The hypothesis draws take their example budget from the loaded profile
+(``tests/conftest.py``): a dozen by default, more under
+``--hypothesis-profile native-differential``.
 
 Tests that need the compiled library skip, naming the reason, when it
 cannot be built here; the equality tests run either way.
@@ -24,12 +30,14 @@ from repro.cmp.config import SystemConfig
 from repro.cmp.schemes import make_scheme
 from repro.cmp.system import CmpSystem
 from repro.core import DiscoConfig, make_disco_router_factory
+from repro.core.arbitrator import candidate_code
 from repro.core.disco_router import DiscoRouter
 from repro.core.scheduling import disco_priority
 from repro.experiments import checkpoint, runner
 from repro.experiments.runner import QUICK_ACCESSES, RunSpec, result_digest
 from repro.faults import FaultController, FaultPlan
 from repro.noc import FlowControl, Network, NocConfig, native
+from repro.noc.fabric_state import ENGINE_ABORTABLE, ENGINE_IDLE, ENGINE_LOCKED
 from repro.noc.router import VC_IDLE, Router
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 from tests.test_golden_mesh import GOLDEN_DIGESTS
@@ -48,8 +56,9 @@ needs_native = pytest.mark.skipif(
 
 
 # -- helpers -----------------------------------------------------------------
-def _system(spec, native_sweep, noc=None):
-    """``runner._simulate``'s construction, with an optional fabric."""
+def _system(spec, native_sweep, noc=None, disco=None):
+    """``runner._simulate``'s construction, with an optional fabric and
+    DISCO configuration."""
     from repro.workloads.trace import generate_traces
 
     config = spec.config() if noc is None else SystemConfig.scaled_fabric(noc)
@@ -57,19 +66,20 @@ def _system(spec, native_sweep, noc=None):
         spec.profile(), config.n_cores, spec.accesses_per_core,
         seed=spec.seed, line_size=config.line_size,
     )
+    scheme = make_scheme(spec.scheme, algorithm=spec.algorithm, disco=disco)
     system = CmpSystem(
-        config, make_scheme(spec.scheme, algorithm=spec.algorithm), traces,
+        config, scheme, traces,
         warmup_fraction=spec.warmup_fraction, native_sweep=native_sweep,
     )
     runner._train_if_needed(system, spec)
     return system
 
 
-def _pair(spec, noc=None):
+def _pair(spec, noc=None, disco=None):
     """(native result, Python result, native system) of one spec."""
-    fast = _system(spec, True, noc)
+    fast = _system(spec, True, noc, disco)
     native_result = fast.run()
-    python_result = _system(spec, False, noc).run()
+    python_result = _system(spec, False, noc, disco).run()
     return native_result, python_result, fast
 
 
@@ -136,10 +146,7 @@ def test_goldens_match_native_and_python(scheme):
     if _native_available():
         assert system.network.native_sweep is not None
         note = system.kernel.annotations["noc.sweep"]
-        if scheme == "disco":
-            assert "packet_priority is not a constant policy" in note
-        else:
-            assert note.startswith("native (")
+        assert note.startswith("native (") and "Python" not in note
 
 
 # -- generated configurations ------------------------------------------------
@@ -157,23 +164,57 @@ def fabrics(draw):
                      flow_control=flow, vcs_per_vnet=vcs, vc_depth=depth)
 
 
+@st.composite
+def disco_configs(draw):
+    """DISCO engine/arbitrator settings that change what the C side sees:
+    lock vs abort, engine capacity, the order-sensitive adaptive EMA,
+    streaming vs whole-packet jobs (with the drawn flow control)."""
+    return DiscoConfig(
+        non_blocking=draw(st.booleans()),
+        engines_per_router=draw(st.integers(1, 2)),
+        adaptive_thresholds=draw(st.booleans()),
+        separate_compression=draw(st.booleans()),
+    )
+
+
 @given(
     noc=fabrics(),
-    scheme=st.sampled_from(["ideal", "baseline", "cc", "cnc"]),
+    scheme=st.sampled_from(["ideal", "baseline", "cc", "cnc", "disco"]),
+    disco=disco_configs(),
     workload=st.sampled_from(["blackscholes", "canneal"]),
     seed=st.integers(1, 10_000),
 )
-@settings(max_examples=12, deadline=None, derandomize=True)
-def test_generated_configs_agree(noc, scheme, workload, seed):
+@settings(derandomize=True)
+def test_generated_configs_agree(noc, scheme, disco, workload, seed):
+    _check_generated(noc, scheme, disco, workload, seed)
+
+
+@given(
+    noc=fabrics(),
+    disco=disco_configs(),
+    workload=st.sampled_from(["blackscholes", "canneal"]),
+    seed=st.integers(1, 10_000),
+)
+@settings(derandomize=True)
+def test_generated_disco_configs_agree(noc, disco, workload, seed):
+    """The DISCO slice of the draw above, so every budget covers it."""
+    _check_generated(noc, "disco", disco, workload, seed)
+
+
+def _check_generated(noc, scheme, disco, workload, seed):
     spec = RunSpec(scheme=scheme, workload=workload, accesses_per_core=40,
                    seed=seed)
-    native_result, python_result, _system_ = _pair(spec, noc)
+    native_result, python_result, system = _pair(
+        spec, noc, disco if scheme == "disco" else None
+    )
     _assert_same(native_result, python_result)
+    if scheme == "disco" and system.network.native_sweep is not None:
+        assert system.network.native_sweep.disco_ticks > 0
 
 
 @pytest.mark.parametrize("topology,vcs", [("mesh", 1), ("torus", 2), ("ring", 3)])
 def test_hybrid_disco_fabric_agrees(topology, vcs):
-    """DISCO routers tick in Python between native runs of plain ones;
+    """DISCO routers return to Python for post-work between plain ones;
     the order of side effects (and so every counter) is unchanged."""
     kwargs = dict(factory=_hybrid_factory(), topology=topology,
                   vcs_per_vnet=vcs, rate=0.08)
@@ -183,25 +224,33 @@ def test_hybrid_disco_fabric_agrees(topology, vcs):
     assert fast["network"]["router_compressions"] > 0  # DISCO really ran
 
 
+def _count_python_visits(monkeypatch):
+    """Count Python ``tick`` calls of either router type and DISCO
+    ``post_tick`` calls."""
+    visits = {"plain": 0, "disco": 0, "post_tick": 0}
+    for cls, key, name in ((Router, "plain", "tick"),
+                           (DiscoRouter, "disco", "tick"),
+                           (DiscoRouter, "post_tick", "post_tick")):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original, _key=key):
+            visits[_key] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return visits
+
+
 @needs_native
 def test_hybrid_fabric_ticks_only_disco_routers_in_python(monkeypatch):
-    ticked = {"plain": 0, "disco": 0}
-    plain_tick, disco_tick = Router.tick, DiscoRouter.tick
-
-    def count_plain(self, cycle=None):
-        ticked["plain"] += 1
-        return plain_tick(self, cycle)
-
-    def count_disco(self, cycle=None):
-        ticked["disco"] += 1
-        return disco_tick(self, cycle)
-
-    monkeypatch.setattr(Router, "tick", count_plain)
-    monkeypatch.setattr(DiscoRouter, "tick", count_disco)
-    _network_run(True, factory=_hybrid_factory(), rate=0.08)
-    # DiscoRouter.tick chains to Router.tick once per DISCO visit.
-    assert ticked["disco"] > 0
-    assert ticked["plain"] == ticked["disco"]
+    """Plain and DISCO routers are both swept in C; Python only sees the
+    DISCO post-work visits, a small share of the DISCO router ticks."""
+    visits = _count_python_visits(monkeypatch)
+    _fp, network = _network_run(True, factory=_hybrid_factory(), rate=0.08)
+    sweep = network.native_sweep
+    assert visits["plain"] == visits["disco"] == 0
+    assert visits["post_tick"] == sweep.post_ticks > 0
+    assert sweep.post_ticks < sweep.disco_ticks
 
 
 # -- fallback triggers -------------------------------------------------------
@@ -259,19 +308,59 @@ class TestHookForcedFallback:
         self._check("can_eject replaced", network_cls=ThrottledNetwork)
 
     def test_non_constant_priority(self):
+        """A policy not marked ``packet_state_priority`` may read anything
+        (here the clock), so no fabric mirror can stand in for it."""
+        def setup(network):
+            network.packet_priority = lambda packet: (
+                (packet.src + packet.dst + network.cycle) % 3
+            )
+
+        self._check("packet_priority is not a packet-state policy",
+                    setup=setup)
+
+    def test_packet_state_priority_is_swept_natively(self):
+        """The §3.3-B policy on plain routers: arbitration in C follows the
+        ``pkt_prio`` mirror, with every counter unchanged."""
         def setup(network):
             network.packet_priority = disco_priority
 
-        self._check("packet_priority is not a constant policy", setup=setup)
+        fast, network = _network_run(True, setup=setup)
+        assert fast == _network_run(False, setup=setup)[0]
+        if _native_available():
+            assert network.kernel.annotations["noc.sweep"].startswith("native (")
 
-    def test_disco_routers_fall_back_per_router(self):
-        """DiscoRouter overrides stage hooks, so it is never swept in C
-        (exact-type check); an all-DISCO fabric matches the Python path."""
+    def test_disco_routers_fall_back_per_router(self, monkeypatch):
+        """An all-DISCO fabric is swept in C (exact-type check) and matches
+        the Python path; its routers come back to Python only for
+        post-work, never for a whole tick."""
         factory = make_disco_router_factory(DiscoConfig())
+        slow, _ = _network_run(False, factory=factory)
+        visits = _count_python_visits(monkeypatch)
+        fast, network = _network_run(True, factory=factory)
+        assert fast == slow
+        if _native_available():
+            assert network.kernel.annotations["noc.sweep"].startswith("native (")
+            assert visits["disco"] == 0
+            assert visits["post_tick"] == network.native_sweep.post_ticks > 0
+
+    def test_disco_subclass_ticks_in_python(self):
+        """A router type that is not exactly ``DiscoRouter`` may change any
+        stage, so it is ticked in Python between native runs."""
+        class SubclassedDisco(DiscoRouter):
+            pass
+
+        disco = DiscoConfig()
+
+        def factory(node, config, network):
+            from repro.compression.registry import get_algorithm
+
+            return SubclassedDisco(node, config, network, disco,
+                                get_algorithm(disco.algorithm))
+
         fast, network = _network_run(True, factory=factory)
         assert fast == _network_run(False, factory=factory)[0]
         if _native_available():
-            assert network.kernel.annotations["noc.sweep"].startswith("native (")
+            assert network.native_sweep.disco_ticks == 0
 
 
 class TestUnavailable:
@@ -380,16 +469,12 @@ class TestBuildCache:
 
 
 # -- checkpoints across paths ------------------------------------------------
-@pytest.mark.parametrize("scheme", ["baseline", "cnc"])
-@pytest.mark.parametrize("first,second", [(True, False), (False, True)])
-def test_checkpoint_crosses_paths(scheme, first, second):
+def _cross_paths(spec, first, second, pause_at):
     """Pause on one path, restore on the other, finish: the snapshot bytes
-    at the pause and the finished result are identical to a run that
-    never switched."""
+    at the pause must be identical on both paths; returns the digest of
+    the restored run."""
     from repro.noc import flit
 
-    spec = RunSpec(scheme=scheme, workload="blackscholes",
-                   accesses_per_core=QUICK_ACCESSES)
     snapshots = {}
     start = flit.pid_watermark()
     for path in (first, second):
@@ -397,37 +482,107 @@ def test_checkpoint_crosses_paths(scheme, first, second):
         # the pickled packets compare byte for byte.
         flit._packet_ids.value = start
         system = _system(spec, path)
-        assert system.run(pause_at=1500) is None
+        assert system.run(pause_at=pause_at) is None
         snapshots[path] = pickle.dumps(system.state_dict(),
                                        pickle.HIGHEST_PROTOCOL)
     assert snapshots[first] == snapshots[second]
     fresh = checkpoint.build_system(spec, native_sweep=second)
     fresh.load_state(pickle.loads(snapshots[first]))
-    assert result_digest(fresh.run()) == GOLDEN_DIGESTS[scheme]
+    return result_digest(fresh.run())
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "cnc"])
+@pytest.mark.parametrize("first,second", [(True, False), (False, True)])
+def test_checkpoint_crosses_paths(scheme, first, second):
+    """The finished result equals a run that never switched paths."""
+    spec = RunSpec(scheme=scheme, workload="blackscholes",
+                   accesses_per_core=QUICK_ACCESSES)
+    assert _cross_paths(spec, first, second, 1500) == GOLDEN_DIGESTS[scheme]
+
+
+def _first_cycle_with_job(spec, separate):
+    """The first cycle that ends with a live engine job, streaming
+    (``separate``) or whole-packet, somewhere in the fabric."""
+    system = _system(spec, False)
+    while system.run(pause_at=system.cycle + 1) is None:
+        for router in system.network.routers:
+            if any(job.valid and job.separate == separate
+                   for job in router.engine.jobs):
+                return system.cycle
+    raise AssertionError("the run finished without such an engine job")
+
+
+@pytest.mark.parametrize("separate", [True, False],
+                         ids=["streaming", "whole-packet"])
+@pytest.mark.parametrize("first,second", [(True, False), (False, True)])
+def test_disco_checkpoint_crosses_paths_mid_job(separate, first, second):
+    """A DISCO snapshot taken while an engine job is in flight is
+    byte-identical on both paths; the engine mirrors the C side reads
+    are rebuilt on restore, so the finished run hits the golden digest."""
+    spec = RunSpec(scheme="disco", workload="blackscholes",
+                   accesses_per_core=QUICK_ACCESSES)
+    pause_at = _first_cycle_with_job(spec, separate)
+    assert _cross_paths(spec, first, second, pause_at) == (
+        GOLDEN_DIGESTS["disco"]
+    )
 
 
 # -- invariants the C side relies on -----------------------------------------
+def _engine_code(router, vc):
+    job = vc.engine_job
+    if job is None:
+        return ENGINE_IDLE
+    if job.committed or not router.disco.non_blocking:
+        return ENGINE_LOCKED
+    return ENGINE_ABORTABLE
+
+
+def _assert_mirrors(network):
+    """Every mirror the C side reads equals what the live objects say."""
+    fs = network.fabric
+    bound = 0
+    for vid, packet in enumerate(fs.packet):
+        assert (fs.state[vid] == VC_IDLE) == (packet is None), vid
+        router = fs.views[vid].router
+        if isinstance(router, DiscoRouter):
+            assert fs.engine_vc[vid] == _engine_code(router, fs.views[vid]), vid
+        else:
+            assert fs.engine_vc[vid] == ENGINE_IDLE, vid
+        if packet is None:
+            continue
+        bound += 1
+        assert fs.pkt_size[vid] == packet.size_flits
+        assert fs.pkt_vnet[vid] == packet.ptype.vnet
+        assert fs.pkt_prio[vid] == network.packet_priority(packet)
+        assert fs.pkt_cand[vid] == candidate_code(packet)
+    for router in network.routers:
+        engine = getattr(router, "engine", None)
+        jobs = 0 if engine is None else len(engine.jobs)
+        cap = 0 if engine is None else router.disco.engines_per_router
+        assert fs.engine_jobs[router.node] == jobs
+        assert fs.engine_cap[router.node] == cap
+    return bound
+
+
 def test_idle_state_means_no_packet_and_mirrors_track_packets():
     """``state == VC_IDLE`` exactly when no packet is bound (the C side
-    never sees packets), and the size/vnet mirrors match every bound
-    packet of a plain router, checked every cycle of a hybrid run."""
-    network = Network(NocConfig(vcs_per_vnet=2),
-                      router_factory=_hybrid_factory())
-    traffic = SyntheticTraffic(
-        network, TrafficConfig(injection_rate=0.08, seed=3)
-    )
-    fs = network.fabric
-    bound_seen = 0
-    for _ in range(400):
-        traffic.step()
-        for vid, packet in enumerate(fs.packet):
-            assert (fs.state[vid] == VC_IDLE) == (packet is None), vid
-            if packet is not None:
-                bound_seen += 1
-                if type(fs.views[vid].router) is Router:
-                    assert fs.pkt_size[vid] == packet.size_flits
-                    assert fs.pkt_vnet[vid] == packet.ptype.vnet
-    assert bound_seen > 0
+    never sees packets), and every mirror (size, vnet, priority, engine
+    candidate, engine lock, job count) matches the live objects, checked
+    every cycle of a hybrid run under the §3.3-B policy, on both paths."""
+    for native_sweep in (True, False):
+        network = Network(NocConfig(vcs_per_vnet=2),
+                          router_factory=_hybrid_factory(),
+                          native_sweep=native_sweep)
+        network.packet_priority = disco_priority
+        traffic = SyntheticTraffic(
+            network, TrafficConfig(injection_rate=0.08, seed=3)
+        )
+        bound_seen = 0
+        for _ in range(400):
+            traffic.step()
+            bound_seen += _assert_mirrors(network)
+        assert bound_seen > 0
+        assert network.stats.compressions > 0  # engines completed jobs
 
 
 def test_mirrors_are_rebuilt_on_restore():
@@ -445,6 +600,49 @@ def test_mirrors_are_rebuilt_on_restore():
     ]
     assert any(p is not None for p in fresh.fabric.packet)
     assert fresh.fabric.sa_rr.tolist() == network.fabric.sa_rr.tolist()
+
+
+def test_disco_mirrors_are_rebuilt_on_restore():
+    """Engine links, job counts and packet mirrors of a DISCO fabric
+    restore from the snapshot alone (none of them is checkpointed)."""
+    def build():
+        network = Network(NocConfig(), router_factory=_hybrid_factory())
+        network.packet_priority = disco_priority
+        return network
+
+    network = build()
+    traffic = SyntheticTraffic(
+        network, TrafficConfig(injection_rate=0.2, seed=5)
+    )
+    for _ in range(300):
+        traffic.step()
+        if any(getattr(r, "engine", None) and r.engine.jobs
+               for r in network.routers):
+            break
+    assert any(getattr(r, "engine", None) and r.engine.jobs
+               for r in network.routers)
+    fresh = build()
+    fresh.load_state(pickle.loads(pickle.dumps(network.state_dict())))
+    assert _assert_mirrors(fresh) > 0
+    for name in ("engine_vc", "engine_jobs"):
+        assert getattr(fresh.fabric, name).tolist() == (
+            getattr(network.fabric, name).tolist()
+        ), name
+
+
+# -- the DISCO post-work protocol ----------------------------------------------
+@needs_native
+def test_disco_post_work_is_rare():
+    """On the fig5 ``disco`` smoke spec, under 10% of the DISCO router
+    ticks return to Python for arbitrator/engine work (a count of the
+    design's work, not of host time)."""
+    spec = RunSpec(scheme="disco", workload="blackscholes",
+                   accesses_per_core=400)
+    system = _system(spec, True)
+    system.run()
+    sweep = system.network.native_sweep
+    assert sweep.disco_ticks > 0
+    assert 0 < sweep.post_ticks < 0.1 * sweep.disco_ticks
 
 
 # -- kernel instrumentation --------------------------------------------------

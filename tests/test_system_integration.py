@@ -174,3 +174,81 @@ def test_bad_warmup_fraction_rejected():
     traces = generate_traces(get_profile("dedup"), config.n_cores, 50)
     with pytest.raises(ValueError):
         CmpSystem(config, make_scheme("baseline"), traces, warmup_fraction=1.0)
+
+
+# -- the run loop's running sums ----------------------------------------------
+def _fresh_sums(system):
+    cores = [tile.core for tile in system.tiles]
+    return (
+        sum(core.position for core in cores),
+        sum(core.outstanding for core in cores),
+        sum(1 for core in cores if core.in_warmup()),
+    )
+
+
+def _totals(system):
+    totals = system.core_totals
+    return totals.position, totals.outstanding, totals.warming
+
+
+def _build(scheme="disco", accesses=ACCESSES, prefill=True):
+    config = SystemConfig.scaled_4x4()
+    traces = generate_traces(
+        get_profile("bodytrack"), config.n_cores, accesses, seed=11
+    )
+    return CmpSystem(config, make_scheme(scheme), traces,
+                     warmup_fraction=0.5, prefill=prefill)
+
+
+def test_core_totals_track_every_cycle_and_survive_a_restore():
+    """The O(1) sums the run loop reads equal a fresh walk over the cores
+    on every cycle, and a restored system rebuilds them from the cores'
+    checkpointed fields alone (they are not part of the snapshot)."""
+    import pickle
+
+    reference = _build().run()
+    system = _build()
+    seen = set()
+
+    def check(sys_):
+        assert _totals(sys_) == _fresh_sums(sys_)
+        seen.add(sys_.core_totals.warming > 0)
+
+    pause_at = reference.measure_start_cycle + 100
+    assert system.run(pause_at=pause_at, checkpoint_fn=check) is None
+    assert seen == {True, False}  # warm-up ended before the pause
+    restored = _build(prefill=False)
+    restored.load_state(pickle.loads(pickle.dumps(system.state_dict())))
+    assert _totals(restored) == _fresh_sums(restored) == _totals(system)
+    result = restored.run()
+    assert (result.cycles, result.measure_start_cycle) == (
+        reference.cycles, reference.measure_start_cycle
+    )
+
+
+def test_watchdog_fires_where_a_fresh_sum_says():
+    """The wedge watchdog reads the running sums; it must fire on the very
+    cycle a per-cycle walk over the cores would have fired it."""
+    limit = 3000
+    system = _build()
+    system.network.set_delivery_handler(lambda node, packet: None)
+    signatures = []
+
+    def record(sys_):
+        position, outstanding, _warming = _fresh_sums(sys_)
+        signatures.append((sys_.cycle, position + outstanding))
+
+    start = sum(_fresh_sums(system)[:2])
+    with pytest.raises(RuntimeError) as excinfo:
+        system.run(stall_limit=limit, checkpoint_fn=record)
+    # Replay the loop: each step's signature is the one read before it.
+    last, last_cycle, previous, expected = -1, 0, start, None
+    for cycle, signature in signatures:
+        if previous != last:
+            last, last_cycle = previous, cycle
+        elif cycle - last_cycle > limit:
+            expected = cycle
+            break
+        previous = signature
+    assert expected is not None
+    assert f"simulation wedged at cycle {expected} " in str(excinfo.value)
