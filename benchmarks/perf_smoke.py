@@ -116,12 +116,12 @@ def _run_smoke_leg(sweep: str):
 
     The native leg is ``fig5()`` itself (cache misses fan out over the
     runner's pool).  The Python leg fans the same grid out over a pool
-    of the same size through ``runner._simulate(native_sweep=False)``,
+    of the same size through ``runner.simulate(native_sweep=False)``,
     which bypasses the caches, so it is always cold.
     """
     from repro.experiments.fig5 import fig5
     from repro.experiments.runner import (
-        _simulate, default_jobs, run_spec, simulated_runs,
+        simulate, default_jobs, run_spec, simulated_runs,
     )
 
     grid = _smoke_grid()
@@ -138,7 +138,7 @@ def _run_smoke_leg(sweep: str):
     else:
         start = time.perf_counter()
         with ProcessPoolExecutor(max_workers=min(default_jobs(), len(grid))) as pool:
-            results = list(pool.map(partial(_simulate, native_sweep=False), grid))
+            results = list(pool.map(partial(simulate, native_sweep=False), grid))
         wall = time.perf_counter() - start
         cache_hit = False
         note = ""
@@ -206,8 +206,8 @@ def _gate(sweep: str, wall: float, cache_hit: bool, reference: float) -> int:
 
 def run_sparse() -> dict:
     """Time the mostly-idle 16x16 mesh on both sweeps (always cold:
-    goes through ``runner._simulate`` directly, no caches)."""
-    from repro.experiments.runner import RunSpec, _simulate
+    goes through ``runner.simulate`` directly, no caches)."""
+    from repro.experiments.runner import RunSpec, simulate
 
     runs = []
     for sweep in SWEEPS:
@@ -218,7 +218,7 @@ def run_sparse() -> dict:
                 accesses_per_core=SPARSE_ACCESSES,
             )
             start = time.perf_counter()
-            result = _simulate(spec, native_sweep=sweep == "native")
+            result = simulate(spec, native_sweep=sweep == "native")
             wall = time.perf_counter() - start
             runs.append({
                 "kernel": "event",

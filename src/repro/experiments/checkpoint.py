@@ -41,7 +41,6 @@ from repro.cmp.system import CmpSystem
 
 #: Checkpoint envelope format version ("RDK" = repro disco kernel state).
 CHECKPOINT_MAGIC = b"RDK1"
-_ENVELOPE_HEADER = len(CHECKPOINT_MAGIC) + hashlib.sha256().digest_size
 
 #: Process-wide count of successful checkpoint restores (tests assert the
 #: resume path actually restored instead of silently recomputing).
@@ -143,31 +142,15 @@ def save_checkpoint(key: str, cycle: int, state: Dict) -> Path:
 
 
 def _read_envelope(path: Path, key: str) -> Optional[Dict]:
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except FileNotFoundError:
-        return None
-    except OSError:
-        _quarantine(path)
-        return None
-    header, payload = blob[:_ENVELOPE_HEADER], blob[_ENVELOPE_HEADER:]
-    if (
-        len(header) < _ENVELOPE_HEADER
-        or not header.startswith(CHECKPOINT_MAGIC)
-        or header[len(CHECKPOINT_MAGIC):] != hashlib.sha256(payload).digest()
+    from repro.experiments.runner import _load_envelope
+
+    envelope = _load_envelope(path, CHECKPOINT_MAGIC, _quarantine)
+    if envelope is None or (
+        isinstance(envelope, dict) and envelope.get("spec_key") == key
     ):
-        _quarantine(path)  # truncated / wrong magic / bit-rotted
-        return None
-    try:
-        envelope = pickle.loads(payload)
-    except Exception:
-        _quarantine(path)  # checksum-valid but unreconstructable
-        return None
-    if not isinstance(envelope, dict) or envelope.get("spec_key") != key:
-        _quarantine(path)  # misfiled under the wrong key
-        return None
-    return envelope
+        return envelope
+    _quarantine(path)  # misfiled under the wrong key
+    return None
 
 
 def load_checkpoint(key: str) -> Optional[Dict]:
@@ -198,7 +181,7 @@ def discard_checkpoints(key: str) -> None:
 def build_system(spec, native_sweep: bool = True) -> CmpSystem:
     """A fresh, un-run system for ``spec``, ready for :meth:`load_state`.
 
-    Mirrors the runner's ``_simulate`` construction — same config, scheme,
+    Mirrors the runner's ``simulate`` construction — same config, scheme,
     traces and algorithm training — with ``prefill=False``: the restored
     state carries the LLC contents, so prefilling would only burn time.
     ``native_sweep`` picks the router sweep (results are identical).
@@ -318,11 +301,17 @@ class CheckpointSession:
         self._latch.uninstall()
 
 
-def session_for(spec) -> Optional[CheckpointSession]:
+def session_for(
+    spec, resume: Optional[bool] = None
+) -> Optional[CheckpointSession]:
     """A session when any checkpoint feature is requested, else ``None``
-    (the provably-inert default: no hooks, no signal handlers, no I/O)."""
+    (the provably-inert default: no hooks, no signal handlers, no I/O).
+    ``resume`` asks for a restore even with periodic writing off; it
+    defaults to the ``REPRO_RESUME=1`` switch."""
     interval = checkpoint_interval()
-    if interval <= 0 and not resume_enabled():
+    if resume is None:
+        resume = resume_enabled()
+    if interval <= 0 and not resume:
         return None
     from repro.experiments.runner import spec_key
 

@@ -16,33 +16,39 @@ and simulations embarrassingly parallel:
   re-running a figure is free and any code change invalidates stale
   results automatically.  Disable with ``REPRO_DISK_CACHE=0``; clear with
   :func:`clear_disk_cache` (or just delete the directory).
-- **Parallel fan-out**: :func:`run_specs` / :func:`run_matrix` dispatch
-  uncached specs over a ``ProcessPoolExecutor`` (workers default to the
-  CPU count; pin with ``REPRO_JOBS``, ``REPRO_JOBS=1`` forces serial).
-  Determinism guarantees the parallel results are bit-identical to serial
-  runs — the acceptance tests assert it field for field.
+- **Parallel fan-out**: :func:`run_specs` / :func:`run_matrix` run
+  their cache misses as one job on an in-process
+  :class:`~repro.service.scheduler.CampaignService` (workers default to
+  the CPU count; pin with ``REPRO_JOBS``, ``REPRO_JOBS=1`` runs the
+  misses on the calling thread).  Determinism guarantees the parallel
+  results are bit-identical to serial runs — the acceptance tests assert
+  it field for field.
 
-The batch path is hardened against worker failure: each spec gets its own
-future with a per-spec timeout (``REPRO_SPEC_TIMEOUT`` seconds, default
-600; ``0`` disables) and one retry; a worker that dies abruptly
-(``BrokenProcessPool``) triggers a serial in-process fallback that keeps
-every already-completed result; and a batch with unrecoverable failures
-raises :class:`RunnerError` naming exactly the failed specs while the
-survivors stay in the memo/disk caches.  Disk-cache entries carry a
-magic + SHA-256 envelope; an entry that fails validation is quarantined
-(renamed ``*.corrupt``) once and recomputed.
+The service is the one supervisor, so a batch fails exactly like a
+service submission: a unit's own exception or timeout
+(``REPRO_SPEC_TIMEOUT`` seconds, default 600; ``0`` disables) is retried
+once after a jittered backoff, a worker death counts an interruption
+against the units in flight and quarantines a unit after
+``REPRO_QUARANTINE_AFTER`` of them, and a batch with unrecoverable
+failures raises :class:`RunnerError` naming exactly the failed specs
+while the survivors stay in the memo/disk caches.  This module is the
+service's executor API: :func:`simulate`, :func:`cache_get` /
+:func:`cache_put`, :func:`journal_append` / :func:`journal_read`,
+:func:`spec_timeout`, :func:`retry_backoff`, :func:`quarantine_after`
+and :func:`start_watchdog` / :func:`stop_watchdog`.  Disk-cache entries
+carry a magic + SHA-256 envelope; an entry that fails validation is
+quarantined (renamed ``*.corrupt``) once and recomputed.
 
 Crash safety (see :mod:`repro.experiments.checkpoint`): a campaign keeps
 an append-only JSONL journal (``campaign.journal.jsonl`` in the cache
 directory) recording each spec's state (pending/running/done/failed/
-quarantined); ``run_specs(resume=True)`` (or ``REPRO_RESUME=1``) replays
-the journal to skip completed specs, restores partially-run ones from
-their latest checkpoint, and quarantines poison specs after
-``REPRO_QUARANTINE_AFTER`` crash-loops (with a capped, seeded backoff).
-With ``REPRO_WATCHDOG_SECONDS`` set, pool workers write per-pid
-heartbeat files carrying their simulated cycle, and a watchdog thread
-SIGKILLs any worker whose cycle counter freezes past the stall budget —
-wedged, as opposed to merely slow.
+quarantined); ``run_specs(resume=True)`` (or ``REPRO_RESUME=1``) starts
+each spec's interruption count from the journal, skips completed specs
+(they are cache hits), and restores partially-run ones from their latest
+checkpoint.  With ``REPRO_WATCHDOG_SECONDS`` set, pool workers write
+per-pid heartbeat files carrying their simulated cycle, and a watchdog
+thread SIGKILLs any worker whose cycle counter freezes past the stall
+budget — wedged, as opposed to merely slow.
 """
 
 from __future__ import annotations
@@ -58,8 +64,6 @@ import tempfile
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace as _dc_replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -120,15 +124,17 @@ CODE_VERSION = "1"
 #: payload.  Bump the magic when the envelope layout changes; entries with
 #: any other prefix are quarantined, not parsed.
 _CACHE_MAGIC = b"RDC1"
-_ENVELOPE_HEADER = len(_CACHE_MAGIC) + hashlib.sha256().digest_size
 
-#: Default per-spec timeout for pool futures (seconds).
+#: Default per-spec timeout (seconds).
 _DEFAULT_SPEC_TIMEOUT = 600.0
+
+#: Cap (seconds) on :func:`retry_backoff`'s exponential growth.
+BACKOFF_CAP = 5.0
 
 #: Pid of the process that imported this module.  Fork workers inherit the
 #: parent's value, so ``os.getpid() != _MAIN_PID`` identifies pool workers
 #: — the destructive test fault modes (``exit``/``hang``) only fire there,
-#: never in the orchestrating process or its serial fallback.
+#: never in the orchestrating process or on its calling thread.
 _MAIN_PID = os.getpid()
 
 
@@ -258,9 +264,11 @@ _SOURCE_FINGERPRINT: Optional[str] = None
 
 
 def _source_fingerprint() -> str:
-    """Digest of every ``repro`` source file (cached per process).
+    """Digest of every ``repro`` source file, Python and C (cached per
+    process).
 
-    Any edit to the simulator invalidates disk-cached results without
+    Any edit to the simulator — the native router sweep's ``_sweep.c``
+    included — invalidates disk-cached results without
     anyone having to remember to bump :data:`CODE_VERSION`; stable across
     processes because it hashes file bytes, not interpreter state.
     """
@@ -269,7 +277,7 @@ def _source_fingerprint() -> str:
         digest = hashlib.sha256()
         root = Path(__file__).resolve().parent.parent  # src/repro
         try:
-            for path in sorted(root.rglob("*.py")):
+            for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
                 digest.update(path.relative_to(root).as_posix().encode())
                 digest.update(path.read_bytes())
         except OSError:  # pragma: no cover - zip/frozen installs
@@ -314,9 +322,10 @@ def spec_key(spec: RunSpec) -> str:
 _CACHE: Dict[Tuple[RunSpec, str], SimulationResult] = {}
 
 #: Count of fresh simulations this process has performed (cache misses
-#: that reached :func:`_simulate`, plus specs fanned out to pool
-#: workers).  Benchmarks snapshot it around a run to tell a cold
-#: measurement from a cache hit — see ``benchmarks/common.py``.
+#: that reached :func:`run_spec`, plus every miss :func:`run_specs`
+#: handed to the campaign service).  Benchmarks snapshot it around a run
+#: to tell a cold measurement from a cache hit — see
+#: ``benchmarks/common.py``.
 _SIMULATED = 0
 
 
@@ -375,34 +384,36 @@ def _quarantine(path: Path) -> None:
         pass
 
 
-def _disk_load(spec: RunSpec) -> Optional[SimulationResult]:
-    if not disk_cache_enabled():
-        return None
-    path = _disk_path(spec)
+def _load_envelope(path: Path, magic: bytes, quarantine=_quarantine):
+    """Unpickle the envelope at ``path`` (``magic`` + SHA-256 of the
+    payload + the pickle) — the one reader of disk-cache entries and
+    checkpoints.  ``None`` on a plain miss, and after quarantining a bad
+    entry: unreadable (permissions, a directory...), truncated, wrong
+    version, bit-rotted, or checksum-valid but referencing something
+    this build cannot reconstruct (e.g. a renamed class the source
+    fingerprint missed)."""
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except FileNotFoundError:
-        return None  # plain miss
+        return None
     except OSError:
-        _quarantine(path)  # unreadable entry (permissions, a directory...)
+        blob = b""
+    size = len(magic) + hashlib.sha256().digest_size
+    header, payload = blob[:size], blob[size:]
+    if header == magic + hashlib.sha256(payload).digest():
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            pass
+    quarantine(path)
+    return None
+
+
+def _disk_load(spec: RunSpec) -> Optional[SimulationResult]:
+    if not disk_cache_enabled():
         return None
-    header, payload = blob[:_ENVELOPE_HEADER], blob[_ENVELOPE_HEADER:]
-    if (
-        len(header) < _ENVELOPE_HEADER
-        or not header.startswith(_CACHE_MAGIC)
-        or header[len(_CACHE_MAGIC):] != hashlib.sha256(payload).digest()
-    ):
-        _quarantine(path)  # truncated / wrong version / bit-rotted
-        return None
-    try:
-        return pickle.loads(payload)
-    except Exception:
-        # The checksum matched, so the pickle itself references something
-        # this build cannot reconstruct (e.g. a renamed class the source
-        # fingerprint missed).  Same treatment: quarantine and recompute.
-        _quarantine(path)
-        return None
+    return _load_envelope(_disk_path(spec), _CACHE_MAGIC)
 
 
 def _publish_atomic(directory: Path, target: Path, blob: bytes) -> None:
@@ -480,9 +491,11 @@ def _maybe_inject_runner_fault(spec: RunSpec) -> None:
 
     - ``crash``       raise RuntimeError on every attempt;
     - ``crash-once``  raise once, then succeed (``marker`` file latches);
-    - ``exit``        kill the *worker* process outright (os._exit) — the
-      classic ``BrokenProcessPool`` trigger; never fires in the main
-      process, so the serial fallback completes;
+    - ``exit``        kill the *worker* process outright (os._exit): the
+      pool breaks, every unit in flight counts an interruption, and the
+      spec that keeps killing its worker is quarantined at the
+      ``REPRO_QUARANTINE_AFTER`` bound; never fires in the main process,
+      so a one-worker batch (run on the calling thread) completes;
     - ``hang-once``   sleep past any sane spec timeout once
       (``REPRO_RUNNER_HANG_SECONDS``, default 5), then succeed.
     """
@@ -531,16 +544,20 @@ def _log_simulation(spec: RunSpec) -> None:
         pass
 
 
-def _simulate(
+def simulate(
     spec: RunSpec,
     verbose: bool = False,
     correlation: Optional[str] = None,
     native_sweep: bool = True,
+    resume: Optional[bool] = None,
 ) -> SimulationResult:
     """Build and run one simulation (no caches — the pool workers' entry
     point, importable at module top level so specs pickle across
     processes).  ``native_sweep=False`` keeps the routers on the Python
-    sweep; the result is identical either way.
+    sweep; the result is identical either way.  ``resume`` restores the
+    spec's latest checkpoint (default: ``REPRO_RESUME=1``).  The spec
+    timeout is a cooperative deadline started before the system is
+    built, so it bounds in-process and pool runs alike.
 
     ``correlation`` is the service's submit-time id: bound as the log
     context for the whole run (every worker-side record carries it) and
@@ -551,13 +568,17 @@ def _simulate(
     if correlation is None:
         correlation = current_correlation()
     with correlation_scope(correlation):
-        return _simulate_in_scope(spec, verbose, correlation, native_sweep)
+        return _simulate_in_scope(
+            spec, verbose, correlation, native_sweep, resume
+        )
 
 
 def _simulate_in_scope(
     spec: RunSpec, verbose: bool, correlation: Optional[str],
-    native_sweep: bool = True,
+    native_sweep: bool, resume: Optional[bool],
 ) -> SimulationResult:
+    timeout = spec_timeout()
+    deadline = time.monotonic() + timeout if timeout is not None else None
     _maybe_inject_runner_fault(spec)
     _log_simulation(spec)
     config = spec.config()
@@ -595,7 +616,7 @@ def _simulate_in_scope(
     # default environment, keeping the hot path byte-identical.
     from repro.experiments import checkpoint as _checkpoint
 
-    session = _checkpoint.session_for(spec)
+    session = _checkpoint.session_for(spec, resume)
     if session is not None:
         restored = session.maybe_restore(system)
         if restored is not None:
@@ -604,8 +625,6 @@ def _simulate_in_scope(
                 spec_key(spec)[:12],
                 restored,
             )
-    timeout = _spec_timeout()
-    deadline = time.monotonic() + timeout if timeout is not None else None
     progress = _progress_hook(spec, correlation)
     start = time.perf_counter()
     try:
@@ -682,18 +701,45 @@ def _train_if_needed(system: CmpSystem, spec: RunSpec) -> None:
     train(sample)
 
 
+def cache_get(spec: RunSpec) -> Optional[SimulationResult]:
+    """The cached result of ``spec`` — memo, then disk (a disk hit is
+    memoized) — or ``None`` on a miss."""
+    key = (spec, _kernel_mode())
+    cached = _CACHE.get(key)
+    if cached is None:
+        cached = _disk_load(spec)
+        if cached is not None:
+            _CACHE[key] = cached
+    return cached
+
+
+def cache_put(spec: RunSpec, result: SimulationResult) -> None:
+    """Publish a fresh result to the memo and disk caches."""
+    _CACHE[(spec, _kernel_mode())] = result
+    _disk_store(spec, result)
+    _LOG.info(
+        "[%s] finished %s/%s on %s (%s %dx%d): %d cycles, "
+        "avg miss latency %.1f",
+        spec_key(spec)[:12],
+        spec.scheme,
+        spec.algorithm,
+        spec.workload,
+        spec.topology,
+        spec.width,
+        spec.height,
+        result.cycles,
+        result.avg_miss_latency,
+    )
+
+
 def run_spec(spec: RunSpec, verbose: bool = False) -> SimulationResult:
     """Run (or recall) one simulation: memo -> disk -> simulate."""
-    cached = _CACHE.get((spec, _kernel_mode()))
-    if cached is not None:
-        return cached
-    result = _disk_load(spec)
+    result = cache_get(spec)
     if result is None:
         global _SIMULATED
         _SIMULATED += 1
-        result = _simulate(spec, verbose=verbose)
-        _disk_store(spec, result)
-    _CACHE[(spec, _kernel_mode())] = result
+        result = simulate(spec, verbose=verbose)
+        cache_put(spec, result)
     return result
 
 
@@ -724,8 +770,9 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _retry_backoff(spec: Optional[RunSpec] = None) -> float:
-    """Jittered pause (seconds) before resubmitting a failed spec.
+def retry_backoff(spec: Optional[RunSpec] = None, attempt: int = 1) -> float:
+    """Jittered pause (seconds) before re-running a unit after its
+    ``attempt``-th failure.
 
     A retry fired immediately after a failure tends to land in the same
     transient condition that killed the first attempt (a loaded machine,
@@ -736,7 +783,9 @@ def _retry_backoff(spec: Optional[RunSpec] = None) -> float:
     spec is given the jitter is drawn from a generator seeded by its key
     — reproducible across runs, decorrelated across specs — instead of
     the process-global RNG (whose draws would otherwise depend on
-    everything else that consumed randomness first).
+    everything else that consumed randomness first).  The pause doubles
+    with every further attempt, capped at :data:`BACKOFF_CAP` — the one
+    backoff formula for errors, interruptions and resumed crash loops.
     """
     env = os.environ.get("REPRO_RETRY_BACKOFF", "").strip()
     base = 0.1
@@ -748,18 +797,12 @@ def _retry_backoff(spec: Optional[RunSpec] = None) -> float:
     if base <= 0:
         return 0.0
     rng = random.Random(spec_key(spec)) if spec is not None else random
-    return rng.uniform(0.5, 1.5) * base
+    return min(rng.uniform(0.5, 1.5) * base * 2 ** (attempt - 1), BACKOFF_CAP)
 
 
-def _pause_before_retry(spec: Optional[RunSpec] = None) -> None:
-    delay = _retry_backoff(spec)
-    if delay > 0:
-        time.sleep(delay)
-
-
-def _spec_timeout() -> Optional[float]:
-    """Per-spec future timeout in seconds (``REPRO_SPEC_TIMEOUT``; ``0``
-    or negative disables, unparseable values use the default)."""
+def spec_timeout() -> Optional[float]:
+    """Per-spec timeout in seconds (``REPRO_SPEC_TIMEOUT``; ``0`` or
+    negative disables, unparseable values use the default)."""
     env = os.environ.get("REPRO_SPEC_TIMEOUT", "").strip()
     if env:
         try:
@@ -804,7 +847,7 @@ def _journal_lock() -> "FileLock":
     )
 
 
-def _journal_append(key: str, state: str, **extra) -> None:
+def journal_append(key: str, state: str, **extra) -> None:
     """Append one spec-state record.  Journal I/O failures never take a
     campaign down — the journal is a recovery aid, not a correctness
     dependency (results still flow through the content-addressed
@@ -843,7 +886,7 @@ def _journal_append(key: str, state: str, **extra) -> None:
         lock.release()
 
 
-def _journal_read() -> Dict[str, dict]:
+def journal_read() -> Dict[str, dict]:
     """Fold the journal into per-key ``{"state", "attempts"}`` entries
     (plus ``corr`` when any record for the key carried a correlation id —
     the join token that lines the journal up with service logs, flight
@@ -886,9 +929,9 @@ def _journal_read() -> Dict[str, dict]:
     return entries
 
 
-def _quarantine_after() -> int:
+def quarantine_after() -> int:
     """Crash-loop bound: a spec interrupted mid-run this many consecutive
-    times is quarantined on resume instead of retried forever
+    times is quarantined instead of retried forever
     (``REPRO_QUARANTINE_AFTER``, default 3, minimum 1)."""
     env = os.environ.get("REPRO_QUARANTINE_AFTER", "").strip()
     if env:
@@ -1040,7 +1083,7 @@ def clean_stale_heartbeats(directory: Optional[Path] = None) -> int:
     return removed
 
 
-def _watchdog_seconds() -> Optional[float]:
+def watchdog_seconds() -> Optional[float]:
     """Stall threshold for the pool watchdog (``REPRO_WATCHDOG_SECONDS``;
     unset, 0 or negative disables)."""
     env = os.environ.get("REPRO_WATCHDOG_SECONDS", "").strip()
@@ -1059,8 +1102,9 @@ class _Watchdog:
     A worker whose cycle counter stops advancing for ``stall_seconds`` is
     wedged (deadlocked, livelocked, stuck outside the run loop) — as
     opposed to slow, which keeps the counter moving — and is SIGKILLed.
-    The kill surfaces as ``BrokenProcessPool`` in the parent, whose
-    serial fallback (plus any checkpoint) recovers the lost work.
+    The kill breaks the service's process pool: the pool respawns, the
+    units in flight count an interruption and re-run (restoring any
+    checkpoint).
     """
 
     def __init__(self, directory: Path, stall_seconds: float):
@@ -1150,11 +1194,11 @@ class _Watchdog:
                 )
 
 
-def _start_watchdog() -> Tuple[Optional[_Watchdog], bool]:
+def start_watchdog() -> Tuple[Optional[_Watchdog], bool]:
     """Arm worker supervision when configured: point workers at a
     heartbeat directory (unless the caller pinned one) and start the
     stall watchdog.  Returns ``(watchdog, env_was_set_here)``."""
-    stall = _watchdog_seconds()
+    stall = watchdog_seconds()
     if stall is None:
         return None, False
     set_here = False
@@ -1174,191 +1218,11 @@ def _start_watchdog() -> Tuple[Optional[_Watchdog], bool]:
     return _Watchdog(Path(directory), stall).start(), set_here
 
 
-def _stop_watchdog(watchdog: Optional[_Watchdog], set_here: bool) -> None:
+def stop_watchdog(watchdog: Optional[_Watchdog], set_here: bool) -> None:
     if watchdog is not None:
         watchdog.stop()
     if set_here:
         os.environ.pop("REPRO_HEARTBEAT_DIR", None)
-
-
-def _store(spec: RunSpec, result: SimulationResult, verbose: bool) -> None:
-    _CACHE[(spec, _kernel_mode())] = result
-    _disk_store(spec, result)
-    if verbose:
-        ensure_level(logging.INFO)
-    _LOG.info(
-        "[%s] finished %s/%s on %s (%s %dx%d): %d cycles, "
-        "avg miss latency %.1f",
-        spec_key(spec)[:12],
-        spec.scheme,
-        spec.algorithm,
-        spec.workload,
-        spec.topology,
-        spec.width,
-        spec.height,
-        result.cycles,
-        result.avg_miss_latency,
-    )
-
-
-def _run_with_alarm(
-    spec: RunSpec, timeout: Optional[float], verbose: bool
-) -> SimulationResult:
-    """``run_spec`` under the same wall-clock bound the pool enforces.
-
-    Serial in-process execution has no future to time out, so the bound
-    is enforced with ``SIGALRM`` (POSIX, main thread only) raising
-    :class:`TimeoutError` in-line; elsewhere the cooperative deadline
-    inside :func:`_simulate` still bounds the run loop itself."""
-    if (
-        timeout is None
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        return run_spec(spec, verbose=verbose)
-
-    def _expired(signum, frame):
-        raise TimeoutError(
-            f"spec exceeded {timeout}s: {spec.scheme}:{spec.workload}"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return run_spec(spec, verbose=verbose)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _journal_outcome(
-    spec: RunSpec,
-    journal: Optional[Dict[RunSpec, str]],
-    out: Dict[RunSpec, SimulationResult],
-    failures: Dict[RunSpec, BaseException],
-) -> None:
-    """Record a resolved spec's terminal journal state (when journaling)."""
-    key = journal.get(spec) if journal else None
-    if key is None:
-        return
-    if spec in out:
-        _journal_append(key, "done")
-    elif spec in failures:
-        _journal_append(key, "failed", error=repr(failures[spec]))
-
-
-def _run_serial(
-    misses: Sequence[RunSpec],
-    out: Dict[RunSpec, SimulationResult],
-    failures: Dict[RunSpec, BaseException],
-    verbose: bool,
-    prior: Optional[Dict[RunSpec, BaseException]] = None,
-    journal: Optional[Dict[RunSpec, str]] = None,
-) -> None:
-    """In-process execution with per-spec isolation: one bad spec records
-    a failure instead of aborting the survivors behind it.  Matches the
-    pool path's contract — a per-spec timeout (``REPRO_SPEC_TIMEOUT``,
-    via ``SIGALRM`` plus the run loop's cooperative deadline) and one
-    retry after a jittered pause, the first symptom kept in ``prior``.
-    Journal states are appended per spec as it starts and resolves, so a
-    campaign killed mid-batch leaves an accurate ledger behind."""
-    if prior is None:
-        prior = {}
-    timeout = _spec_timeout()
-    for spec in misses:
-        if journal and spec in journal:
-            _journal_append(journal[spec], "running")
-        for attempt in (0, 1):
-            try:
-                out[spec] = _run_with_alarm(spec, timeout, verbose)
-            except Exception as exc:
-                if attempt == 0:
-                    prior[spec] = exc
-                    _pause_before_retry(spec)
-                    continue
-                failures[spec] = exc
-            break
-        _journal_outcome(spec, journal, out, failures)
-
-
-def _run_parallel(
-    misses: Sequence[RunSpec],
-    jobs: int,
-    out: Dict[RunSpec, SimulationResult],
-    failures: Dict[RunSpec, BaseException],
-    verbose: bool,
-    prior: Optional[Dict[RunSpec, BaseException]] = None,
-    journal: Optional[Dict[RunSpec, str]] = None,
-) -> None:
-    """Fan misses out over a process pool, one future per spec.
-
-    Each spec gets a per-spec timeout and one retry (a fresh future,
-    after a jittered :func:`_retry_backoff` pause) on timeout or
-    exception; the first attempt's exception is recorded in ``prior`` so
-    :class:`RunnerError` can report both symptoms.  A dead worker
-    (``BrokenProcessPool``) abandons the pool and reruns everything
-    unresolved serially in-process — completed results are kept either
-    way.  A future still running after its retry window is abandoned
-    (``shutdown(wait=False)``) rather than joined, so one hung worker
-    cannot hang the batch.
-    """
-    timeout = _spec_timeout()
-    # The heartbeat directory must be in the environment before the pool
-    # exists so workers inherit it.
-    watchdog, hb_set_here = _start_watchdog()
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    futures = {spec: pool.submit(_simulate, spec) for spec in misses}
-    if journal:
-        for spec in misses:  # all genuinely dispatched at once
-            _journal_append(journal[spec], "running")
-    abandoned = False
-    if prior is None:
-        prior = {}
-    try:
-        for spec in misses:
-            for attempt in (0, 1):
-                try:
-                    result = futures[spec].result(timeout=timeout)
-                except BrokenProcessPool:
-                    raise  # handled below: serial fallback
-                except _FutureTimeout:
-                    futures[spec].cancel()  # no-op if already running
-                    abandoned = True  # a worker may still be wedged
-                    if attempt == 0:
-                        prior[spec] = TimeoutError(
-                            f"spec exceeded {timeout}s: "
-                            f"{spec.scheme}:{spec.workload}"
-                        )
-                        _pause_before_retry(spec)
-                        futures[spec] = pool.submit(_simulate, spec)
-                        continue
-                    failures[spec] = TimeoutError(
-                        f"spec exceeded {timeout}s twice: "
-                        f"{spec.scheme}:{spec.workload}"
-                    )
-                except Exception as exc:
-                    if attempt == 0:
-                        prior[spec] = exc
-                        _pause_before_retry(spec)
-                        futures[spec] = pool.submit(_simulate, spec)
-                        continue
-                    failures[spec] = exc
-                else:
-                    _store(spec, result, verbose)
-                    out[spec] = result
-                break
-            _journal_outcome(spec, journal, out, failures)
-    except BrokenProcessPool:
-        # The pool is unusable (a worker died mid-task, e.g. OOM-kill or
-        # a hard crash).  Keep what finished; rerun the rest in-process.
-        abandoned = True
-        remaining = [
-            spec for spec in misses if spec not in out and spec not in failures
-        ]
-        _run_serial(remaining, out, failures, verbose, prior, journal)
-    finally:
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
-        _stop_watchdog(watchdog, hb_set_here)
 
 
 def _profile_destination(profile_out: Optional[str]) -> Optional[str]:
@@ -1403,123 +1267,66 @@ def run_specs(
     profile_out: Optional[str] = None,
     resume: Optional[bool] = None,
 ) -> Dict[RunSpec, SimulationResult]:
-    """Resolve a batch of specs, fanning cache misses out over processes.
+    """Resolve a batch of specs, running the cache misses as one job on
+    an in-process :class:`~repro.service.scheduler.CampaignService`.
 
     Duplicate specs are deduplicated; cached results (memo or disk) are
     never resubmitted, so figures sharing runs stay shared across both
-    processes and invocations.  With one miss (or one worker) the batch
-    runs serially in-process — no pool overhead.  Determinism makes the
-    parallel path bit-identical to the serial one.
+    processes and invocations.  With several workers the service fans
+    the misses out over its process pool; with one worker (or one miss)
+    they run on the calling thread with direct :func:`simulate` calls —
+    no pool, and a checkpointing run keeps its SIGTERM flush on the main
+    thread.  Determinism makes both paths bit-identical.
 
-    Failure containment: a spec that fails (after one retry) never takes
-    the batch down with it.  Survivors land in the memo/disk caches and a
+    Failures follow the service's one taxonomy (see
+    :mod:`repro.service.scheduler`); a spec that fails never takes the
+    batch down with it.  Survivors land in the memo/disk caches and a
     :class:`RunnerError` naming exactly the failed specs is raised at the
     end, with the completed results attached.
 
-    Every batch journals its specs' states (pending/running/done/failed)
-    to ``campaign.journal.jsonl``.  With ``resume=True`` (default: the
-    ``REPRO_RESUME=1`` environment switch) the journal from a crashed
-    campaign is replayed first: completed specs are already served by the
-    caches, partially-run specs restore from their latest checkpoint
-    inside :func:`_simulate`, specs interrupted mid-run get a capped
-    seeded backoff before their next attempt, and specs crash-looped
-    ``REPRO_QUARANTINE_AFTER`` consecutive times are quarantined into the
-    failure set instead of being retried forever.
+    Every miss is journaled (pending/running/done/failed/quarantined) to
+    ``campaign.journal.jsonl``.  With ``resume=True`` (default: the
+    ``REPRO_RESUME=1`` environment switch) each miss starts from the
+    journal's count of consecutive interrupted attempts — at the
+    ``REPRO_QUARANTINE_AFTER`` bound it is quarantined without running —
+    and partially-run specs restore from their latest checkpoint inside
+    :func:`simulate`.
     """
-    ordered: List[RunSpec] = []
-    seen = set()
-    for spec in specs:
-        if spec not in seen:
-            seen.add(spec)
-            ordered.append(spec)
+    from repro.experiments.checkpoint import resume_enabled
+    from repro.service.scheduler import CampaignService
+
     out: Dict[RunSpec, SimulationResult] = {}
     misses: List[RunSpec] = []
-    for spec in ordered:
-        cached = _CACHE.get((spec, _kernel_mode()))
+    for spec in dict.fromkeys(specs):
+        cached = cache_get(spec)
         if cached is None:
-            cached = _disk_load(spec)
-            if cached is not None:
-                _CACHE[(spec, _kernel_mode())] = cached
-        if cached is not None:
-            out[spec] = cached
-        else:
             misses.append(spec)
-    if not misses:
-        _emit_profile(out, profile_out, verbose)
-        return out
+        else:
+            out[spec] = cached
     failures: Dict[RunSpec, BaseException] = {}
-    prior: Dict[RunSpec, BaseException] = {}
-    if resume is None:
-        resume = os.environ.get("REPRO_RESUME", "") == "1"
-    keys = {spec: spec_key(spec) for spec in misses}
-    for spec in misses:
-        _journal_append(keys[spec], "pending")
-    if resume:
-        misses = _replay_journal(misses, keys, failures)
-    resume_set_here = False
-    if resume and os.environ.get("REPRO_RESUME", "") != "1":
-        # Checkpoint restoration inside the workers keys off the
-        # environment; propagate an explicit resume=True to them.
-        os.environ["REPRO_RESUME"] = "1"
-        resume_set_here = True
-    try:
-        jobs = default_jobs() if jobs is None else max(1, jobs)
-        jobs = min(jobs, max(1, len(misses)))
-        if jobs == 1:
-            _run_serial(misses, out, failures, verbose, prior, keys)
-        elif misses:
-            # Workers simulate in their own processes; credit the
-            # parent's counter here so cold/cache-hit detection works
-            # either way.
-            global _SIMULATED
-            _SIMULATED += len(misses)
-            _run_parallel(misses, jobs, out, failures, verbose, prior, keys)
-    finally:
-        if resume_set_here:
-            os.environ.pop("REPRO_RESUME", None)
+    if misses:
+        global _SIMULATED
+        _SIMULATED += len(misses)
+        if verbose:
+            ensure_level(logging.INFO)
+        workers = default_jobs() if jobs is None else max(1, jobs)
+        # Admission sized to the batch, so nothing is ever shed.
+        size = len(misses)
+        service = CampaignService(
+            workers=min(workers, size), rate=size, burst=size,
+            max_queue_depth=size,
+        )
+        job = service.run_job(
+            misses, resume_enabled() if resume is None else resume
+        )
+        results, failures, prior = job.outcome()
+        out.update(results)
     # Aggregate profiles before any failure raise, so survivors of a
     # partially-failed batch still land in profile.json.
     _emit_profile(out, profile_out, verbose)
     if failures:
-        raise RunnerError(failures, out, prior)
+        raise RunnerError(failures, out, prior, job.correlation)
     return out
-
-
-def _replay_journal(
-    misses: Sequence[RunSpec],
-    keys: Dict[RunSpec, str],
-    failures: Dict[RunSpec, BaseException],
-) -> List[RunSpec]:
-    """Apply a crashed campaign's journal to this batch's cache misses:
-    quarantine crash-looped specs, pause (capped, seeded backoff) before
-    re-attempting interrupted ones, and keep the rest."""
-    journal = _journal_read()
-    limit = _quarantine_after()
-    retained: List[RunSpec] = []
-    backoff = 0.0
-    for spec in misses:
-        entry = journal.get(keys[spec])
-        attempts = entry["attempts"] if entry is not None else 0
-        if attempts >= limit:
-            _journal_append(keys[spec], "quarantined", attempts=attempts)
-            failures[spec] = RuntimeError(
-                f"quarantined after {attempts} interrupted attempts: "
-                f"{spec.scheme}:{spec.workload}"
-            )
-            continue
-        if attempts > 0:
-            backoff = max(
-                backoff,
-                min(_retry_backoff(spec) * (2 ** (attempts - 1)), 5.0),
-            )
-        retained.append(spec)
-    if backoff > 0:
-        _LOG.info(
-            "resume: pausing %.2fs before re-attempting interrupted specs",
-            backoff,
-        )
-        time.sleep(backoff)
-    return retained
 
 
 def run_matrix(

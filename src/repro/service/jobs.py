@@ -59,11 +59,12 @@ class WorkUnit:
     """One schedulable unit: a simulation spec or a fault campaign.
 
     Mutable scheduling state lives here (attempt counters, backoff
-    deadline, enqueue stamp); the payload itself is immutable.  Failure
-    accounting distinguishes *errors* (the unit's own exception — retried
-    once, then failed) from *interruptions* (a worker died under it —
-    retried with backoff until the crash-loop quarantine bound), exactly
-    mirroring the batch runner's journal semantics.
+    deadline, enqueue stamp, outcome); the payload itself is immutable.
+    Failure accounting distinguishes *errors* (the unit's own exception
+    or timeout — retried once, then failed) from *interruptions* (a
+    worker died under it — retried with backoff until the crash-loop
+    quarantine bound); ``first_error`` and ``error`` keep the first and
+    the latest exception, ``result`` the resolved value.
     """
 
     __slots__ = (
@@ -78,7 +79,9 @@ class WorkUnit:
         "interruptions",
         "enqueued",
         "ready_at",
-        "last_error",
+        "first_error",
+        "error",
+        "result",
     )
 
     def __init__(self, job: "Job", index: int, kind: str, payload):
@@ -100,7 +103,14 @@ class WorkUnit:
         self.interruptions = 0
         self.enqueued = 0.0  # monotonic stamp, set at (re)enqueue
         self.ready_at = 0.0  # backoff deadline; 0 = immediately eligible
-        self.last_error: Optional[str] = None
+        self.first_error: Optional[BaseException] = None
+        self.error: Optional[BaseException] = None
+        self.result = None
+
+    def record_error(self, exc: BaseException) -> None:
+        if self.first_error is None:
+            self.first_error = exc
+        self.error = exc
 
     def order_key(self):
         """Heap key: client priority first, then global FIFO order."""
@@ -132,11 +142,15 @@ class Job:
         units_payload: List,
         job_id: Optional[str] = None,
         correlation: Optional[str] = None,
+        resume: bool = False,
     ):
         self.job_id = job_id or uuid.uuid4().hex[:12]
         self.correlation = correlation or f"c-{uuid.uuid4().hex[:16]}"
         self.client = client
         self.priority = priority
+        #: Spec units start from the journal's interruption counts and
+        #: restore checkpoints (a resumed campaign).
+        self.resume = resume
         self.submitted_ts = time.time()
         self.submitted_mono = time.monotonic()
         self.finished_ts: Optional[float] = None
@@ -160,24 +174,19 @@ class Job:
     @property
     def state(self) -> str:
         with self._cond:
-            if len(self.results) + len(self.failures) >= self.total:
+            if self.finished():
                 return FAILED if self.failures else DONE
             return RUNNING if self._started else QUEUED
 
     def snapshot(self) -> Dict:
         """The ``/status`` view: JSON-able, cheap, lock-consistent."""
-        with self._cond:
-            resolved = len(self.results) + len(self.failures)
-            if resolved >= self.total:
-                state = FAILED if self.failures else DONE
-            else:
-                state = RUNNING if self._started else QUEUED
+        with self._cond:  # reentrant: ``state`` takes it again
             return {
                 "job": self.job_id,
                 "correlation": self.correlation,
                 "client": self.client,
                 "priority": self.priority,
-                "state": state,
+                "state": self.state,
                 "units": self.total,
                 "completed": len(self.results),
                 "failed": len(self.failures),
@@ -204,6 +213,25 @@ class Job:
                 self.finished_ts = time.time()
             self._cond.notify_all()
 
+    def outcome(self):
+        """Spec units' outcomes keyed by :class:`RunSpec` — the
+        :class:`~repro.experiments.runner.RunnerError` fields:
+        ``(results, failures, prior)`` hold result objects, each failed
+        unit's last exception, and its first one when that differs."""
+        results: Dict[RunSpec, object] = {}
+        failures: Dict[RunSpec, BaseException] = {}
+        prior: Dict[RunSpec, BaseException] = {}
+        for unit in self.units:
+            if unit.spec is None:
+                continue
+            if unit.result is not None:
+                results[unit.spec] = unit.result
+            elif unit.error is not None:
+                failures[unit.spec] = unit.error
+                if unit.first_error not in (None, unit.error):
+                    prior[unit.spec] = unit.first_error
+        return results, failures, prior
+
     def mark_started(self) -> None:
         with self._cond:
             self._started = True
@@ -217,9 +245,7 @@ class Job:
         that wins the claim publishes the terminal ``done`` event (two
         workers resolving the job's last two units race here)."""
         with self._cond:
-            if self._done_claimed:
-                return False
-            if len(self.results) + len(self.failures) < self.total:
+            if self._done_claimed or not self.finished():
                 return False
             self._done_claimed = True
             return True

@@ -1,12 +1,16 @@
-"""The always-on campaign scheduler.
+"""The campaign scheduler: the one supervisor of simulation batches.
 
-:class:`CampaignService` turns the batch runner into a supervised
-service: clients submit jobs (spec sweeps and/or fault campaigns) at any
-time, an admission layer sheds overload with structured
-:class:`~repro.service.admission.Overloaded` responses, and admitted
-work flows through per-worker priority queues into the existing
-``ProcessPoolExecutor`` machinery, streaming each unit's result the
-moment it completes.
+:class:`CampaignService` turns the runner's executor API into a
+supervised service: clients submit jobs (spec sweeps and/or fault
+campaigns) at any time, an admission layer sheds overload with
+structured :class:`~repro.service.admission.Overloaded` responses, and
+admitted work flows through per-worker priority queues onto a
+``ProcessPoolExecutor``, streaming each unit's result the moment it
+completes.  The batch runner is a client of the same executor:
+:func:`~repro.experiments.runner.run_specs` runs its cache misses as
+one job through :meth:`CampaignService.run_job` — on the pool with
+several workers, on the calling thread with one — so a figure sweep and
+a service submission fail the same way.
 
 Scheduling model
 ----------------
@@ -19,24 +23,31 @@ while any queue holds work.  Units backing off after a failure sit in a
 shared delayed set until their deadline, then rejoin the least-loaded
 heap.
 
-Robustness (the PR 7 machinery, extended)
------------------------------------------
+Failure taxonomy
+----------------
 - Every spec unit journals ``pending``/``running``/``done``/``failed``/
   ``quarantined`` through the runner's locked campaign journal, so a
   killed service resumes exactly like a killed batch.
-- A worker-process death (``BrokenProcessPool`` — OOM, chaos SIGKILL, or
-  the heartbeat watchdog killing a wedged worker) respawns the pool once
-  per generation and counts an *interruption* against the in-flight
-  units; a unit interrupted ``REPRO_QUARANTINE_AFTER`` consecutive times
-  is quarantined instead of retried forever.  Ordinary exceptions get
-  one retry with capped jittered backoff, then fail the unit.
+- An *error* — the unit's own exception, or a timeout
+  (``REPRO_SPEC_TIMEOUT``: the future's bound on the pool, the
+  cooperative deadline inside ``simulate`` on the calling thread) — gets
+  ``error_retries`` (default 1) retries, then fails the unit.
+- An *interruption* — a worker-process death (OOM, chaos SIGKILL, or
+  the heartbeat watchdog killing a wedged worker) — respawns the pool
+  once per generation and counts against every unit in flight.  An
+  interrupted unit is a *suspect*: it is re-dispatched alone, so its
+  next interruption is its own, and ``REPRO_QUARANTINE_AFTER``
+  consecutive interruptions quarantine it instead of retrying it
+  forever.  A resumed job's units start from the journal's counts.
+- Every retry waits :func:`~repro.experiments.runner.retry_backoff`:
+  spec-seeded jitter, doubling per attempt, capped.
 - Stale heartbeat files are swept at startup
   (:func:`~repro.experiments.runner.clean_stale_heartbeats`) and the
   heartbeat watchdog is armed whenever ``REPRO_WATCHDOG_SECONDS`` is
-  set, exactly as in the batch runner.
-- Results publish through the same content-addressed caches (memo +
-  atomic-rename disk entries), so many service processes — on many hosts
-  — can share one cache directory without corrupting an entry.
+  set.
+- Results publish through the content-addressed caches (memo + atomic-
+  rename disk entries), so many service processes — on many hosts — can
+  share one cache directory without corrupting an entry.
 
 Every decision is counted (:class:`ServiceStats` +
 :class:`~repro.service.admission.AdmissionStats`, both registered in a
@@ -48,7 +59,6 @@ age, shed markers) for the ``/stats`` endpoint.
 from __future__ import annotations
 
 import heapq
-import logging
 import os
 import signal
 import threading
@@ -58,11 +68,12 @@ from concurrent.futures import (
     TimeoutError as _FutureTimeout,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments import runner as _runner
+from repro.experiments.checkpoint import resume_enabled
 from repro.faults.campaign import run_campaign_payload
 from repro.service.admission import (
     AdmissionController,
@@ -78,15 +89,15 @@ from repro.service.jobs import (
 )
 from repro.sim.stats import StatsRegistry
 from repro.telemetry import flight as _flight
-from repro.telemetry.log import correlation_scope, get_logger
+from repro.telemetry.log import (
+    correlation_scope,
+    current_correlation,
+    get_logger,
+)
 from repro.telemetry.sampler import WallClockSeries
 from repro.telemetry.slo import SLOSpec, SLOStatus, default_slos, evaluate_all
 
 _LOG = get_logger("repro.service")
-
-#: Cap on the exponential retry backoff (seconds) — matches the batch
-#: runner's resume backoff cap.
-_BACKOFF_CAP = 5.0
 
 
 @dataclass
@@ -118,23 +129,7 @@ class ServiceStats:
 
     def counters(self) -> Dict[str, int]:
         """Registry-provider view of the group."""
-        return {
-            "units_completed": self.units_completed,
-            "units_failed": self.units_failed,
-            "units_quarantined": self.units_quarantined,
-            "cache_hits": self.cache_hits,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "steals": self.steals,
-            "retries": self.retries,
-            "worker_respawns": self.worker_respawns,
-            "queue_age_ms_total": self.queue_age_ms_total,
-            "queue_age_samples": self.queue_age_samples,
-        }
-
-
-def _quarantine_after() -> int:
-    return _runner._quarantine_after()
+        return asdict(self)
 
 
 def _pool_worker_init() -> None:
@@ -151,7 +146,7 @@ def _pool_worker_init() -> None:
 
 
 class CampaignService:
-    """A supervised, always-on front for the campaign runner."""
+    """The supervised executor of spec sweeps and fault campaigns."""
 
     def __init__(
         self,
@@ -197,11 +192,16 @@ class CampaignService:
             [] for _ in range(self.workers)
         ]
         self._delayed: List[WorkUnit] = []
+        #: Interrupted units waiting to run alone, and the one that is.
+        self._suspects: List[WorkUnit] = []
+        self._isolated: Optional[WorkUnit] = None
         self._inflight = 0
         self._shard_rr = 0
         self._accepting = False
         self._stopping = False
         self._threads: List[threading.Thread] = []
+        #: Units run on the calling thread (see :meth:`run_job`).
+        self._inline = False
 
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_generation = 0
@@ -218,7 +218,7 @@ class CampaignService:
         swept = _runner.clean_stale_heartbeats()
         if swept:
             _LOG.info("startup: removed %d stale heartbeat files", swept)
-        self._watchdog, self._hb_set_here = _runner._start_watchdog()
+        self._watchdog, self._hb_set_here = _runner.start_watchdog()
         self._accepting = True
         self.started_mono = time.monotonic()
         for index in range(self.workers):
@@ -268,7 +268,7 @@ class CampaignService:
             pool, self._pool = self._pool, None
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
-        _runner._stop_watchdog(self._watchdog, self._hb_set_here)
+        _runner.stop_watchdog(self._watchdog, self._hb_set_here)
         self._watchdog = None
         _LOG.info(
             "service down (%s)", "drained" if drained else "abandoned backlog"
@@ -281,6 +281,7 @@ class CampaignService:
         return (
             sum(len(heap) for heap in self._heaps)
             + len(self._delayed)
+            + len(self._suspects)
             + self._inflight
         )
 
@@ -381,13 +382,7 @@ class CampaignService:
     def _stale_heartbeats(self) -> List[Tuple[int, float]]:
         """Heartbeat pids older than the watchdog budget (or 60s when no
         watchdog is armed) — the readiness probe's staleness evidence."""
-        budget = 60.0
-        env = os.environ.get("REPRO_WATCHDOG_SECONDS", "").strip()
-        if env:
-            try:
-                budget = max(1.0, float(env))
-            except ValueError:
-                pass
+        budget = _runner.watchdog_seconds() or 60.0
         return sorted(
             (pid, age)
             for pid, age in self.heartbeat_lags().items()
@@ -478,6 +473,7 @@ class CampaignService:
         for :func:`~repro.faults.campaign.run_campaign_payload`.  Returns
         the queued :class:`Job`, or the :class:`Overloaded` decision —
         never raises for overload, never blocks beyond O(1) bookkeeping.
+        With ``REPRO_RESUME=1`` the job resumes a crashed campaign.
         """
         units_payload: List[Tuple[str, object]] = []
         for payload in specs:
@@ -492,17 +488,66 @@ class CampaignService:
         if not units_payload:
             raise ValueError("a submission must carry specs or campaigns")
         if not self._accepting:
-            decision = Overloaded(
-                reason="queue_full",
-                retry_after=self.admission.MAX_RETRY_AFTER,
-                client=client,
-                detail="service is shutting down",
+            decision = self.admission.shed(
+                "queue_full",
+                self.admission.MAX_RETRY_AFTER,
+                client,
+                len(units_payload),
+                "service is shutting down",
             )
-            self.admission.stats.jobs_shed += 1
-            self.admission.stats.units_shed += len(units_payload)
-            self.admission.stats.shed_queue_full += 1
             self._record_shed(decision, len(units_payload))
             return decision
+        return self._admit(client, priority, units_payload, resume_enabled())
+
+    def run_job(self, specs: Sequence, resume: bool) -> Job:
+        """Run ``specs`` as one job on this never-started service and
+        return the job once every unit has resolved — the batch runner's
+        entry point (:func:`~repro.experiments.runner.run_specs`).
+
+        With several workers the service is started for the job and shut
+        down after it.  With one, the units run on the calling thread
+        with direct calls — no dispatcher thread, no process pool — so a
+        checkpointing run keeps its SIGTERM flush on the main thread and
+        a killed batch leaves no orphan worker behind.
+        """
+        self._inline = self.workers == 1
+        if not self._inline:
+            self.start()
+        try:
+            job = self._admit(
+                "run_specs",
+                5,
+                [(UNIT_SPEC, spec) for spec in specs],
+                resume,
+                correlation=current_correlation(),
+            )
+            if isinstance(job, Overloaded):
+                raise RuntimeError(f"batch shed by admission: {job}")
+            if self._inline:
+                while not job.finished():
+                    self._run_unit(0, self._next_unit(0))
+            else:
+                for _event in job.stream():
+                    pass  # the stream ends at the job's ``done`` event
+        finally:
+            if not self._inline:
+                self.shutdown(drain=False)
+        return job
+
+    def _admit(
+        self,
+        client: str,
+        priority: int,
+        units_payload: List[Tuple[str, object]],
+        resume: bool,
+        correlation: Optional[str] = None,
+    ) -> Union[Job, Overloaded]:
+        """Admission decision, then journal and enqueue the job's units.
+
+        A resumed job's spec units start from the journal's interruption
+        counts; one below the quarantine bound backs off first."""
+        journal = _runner.journal_read() if resume else {}
+        limit = _runner.quarantine_after()
         with self._cond:
             depth = self.queue_depth()
             decision = self.admission.admit(
@@ -514,14 +559,26 @@ class CampaignService:
             if decision is not None:
                 self._record_shed(decision, len(units_payload))
                 return decision
-            job = Job(client, priority, units_payload)
+            job = Job(
+                client,
+                priority,
+                units_payload,
+                correlation=correlation,
+                resume=resume,
+            )
             self.jobs[job.job_id] = job
             for unit in job.units:
                 if unit.kind == UNIT_SPEC:
-                    _runner._journal_append(
+                    unit.interruptions = journal.get(unit.key, {}).get(
+                        "attempts", 0
+                    )
+                    _runner.journal_append(
                         unit.key, "pending", corr=job.correlation
                     )
-                self._enqueue_locked(unit)
+                if 0 < unit.interruptions < limit:
+                    self._delay_locked(unit, unit.interruptions)
+                else:
+                    self._enqueue_locked(unit)
             self._cond.notify_all()
         self.series.record(queue_depth=depth + len(job.units), admitted=1)
         _flight.recorder(role="service").record(
@@ -558,13 +615,25 @@ class CampaignService:
         )
 
     def _enqueue_locked(self, unit: WorkUnit) -> None:
-        """Place a unit on the least-loaded heap (callers hold _cond)."""
+        """Queue a suspect for a solo run, anything else on the
+        least-loaded heap (callers hold _cond)."""
         unit.enqueued = time.monotonic()
+        if unit.interruptions:
+            self._suspects.append(unit)
+            return
         target = min(range(self.workers), key=lambda i: len(self._heaps[i]))
         if len(self._heaps[target]) == len(self._heaps[self._shard_rr]):
             target = self._shard_rr  # break ties round-robin
         self._shard_rr = (self._shard_rr + 1) % self.workers
         heapq.heappush(self._heaps[target], (unit.order_key(), unit))
+
+    def _delay_locked(self, unit: WorkUnit, attempt: int) -> float:
+        """Park a unit for its backoff; returns the delay (callers hold
+        _cond)."""
+        delay = _runner.retry_backoff(unit.spec, attempt)
+        unit.ready_at = time.monotonic() + delay
+        self._delayed.append(unit)
+        return delay
 
     # -- the worker loop -----------------------------------------------------
     def _worker_loop(self, index: int) -> None:
@@ -572,37 +641,52 @@ class CampaignService:
             unit = self._next_unit(index)
             if unit is None:
                 return  # stopping
-            try:
-                self._execute(unit)
-            except BaseException:  # pragma: no cover - last-ditch guard
-                _LOG.exception(
-                    "worker %d: unhandled error on %s", index, unit.describe()
-                )
-                self._resolve_failure(unit, "internal scheduler error")
-            finally:
-                with self._cond:
-                    self._inflight -= 1
-                    self._cond.notify_all()
+            self._run_unit(index, unit)
+
+    def _run_unit(self, index: int, unit: WorkUnit) -> None:
+        try:
+            self._execute(unit)
+        except Exception as exc:  # pragma: no cover - last-ditch guard
+            _LOG.exception(
+                "worker %d: unhandled error on %s", index, unit.describe()
+            )
+            unit.record_error(exc)
+            self._resolve_failure(unit)
+        finally:
+            with self._cond:
+                self._inflight -= 1
+                if self._isolated is unit:
+                    self._isolated = None
+                self._cond.notify_all()
 
     def _next_unit(self, index: int) -> Optional[WorkUnit]:
-        """Own heap first, then steal; block when everything is idle."""
+        """A waiting suspect alone once nothing else is in flight;
+        otherwise own heap first, then steal; block while nothing is
+        eligible."""
         with self._cond:
             while True:
                 if self._stopping:
                     return None
                 now = time.monotonic()
                 self._promote_delayed_locked(now)
-                unit = self._pop_locked(index)
-                if unit is None:
-                    victim = max(
-                        (i for i in range(self.workers) if i != index),
-                        key=lambda i: len(self._heaps[i]),
-                        default=None,
-                    )
-                    if victim is not None and self._heaps[victim]:
-                        unit = self._pop_locked(victim)
-                        if unit is not None:
-                            self.stats.steals += 1
+                if self._suspects or self._isolated is not None:
+                    # Let the pool drain, then run suspects one at a
+                    # time, so a worker death names its unit.
+                    unit = None
+                    if self._isolated is None and not self._inflight:
+                        unit = self._isolated = self._suspects.pop(0)
+                else:
+                    unit = self._pop_locked(index)
+                    if unit is None:
+                        victim = max(
+                            (i for i in range(self.workers) if i != index),
+                            key=lambda i: len(self._heaps[i]),
+                            default=None,
+                        )
+                        if victim is not None and self._heaps[victim]:
+                            unit = self._pop_locked(victim)
+                            if unit is not None:
+                                self.stats.steals += 1
                 if unit is not None:
                     self._inflight += 1
                     return unit
@@ -636,7 +720,7 @@ class CampaignService:
         and flight event the dispatch produces — on this thread —
         carries the submit-time correlation id without any call site
         naming it; the pool worker gets it as an explicit
-        ``_simulate`` argument (contextvars don't cross processes).
+        ``simulate`` argument (contextvars don't cross processes).
         """
         with correlation_scope(unit.job.correlation):
             age_ms = int((time.monotonic() - unit.enqueued) * 1000)
@@ -662,146 +746,130 @@ class CampaignService:
 
     def _execute_spec(self, unit: WorkUnit) -> None:
         spec = unit.spec
-        mode = _runner._kernel_mode()
-        cached = _runner._CACHE.get((spec, mode))
-        if cached is None:
-            cached = _runner._disk_load(spec)
-            if cached is not None:
-                _runner._CACHE[(spec, mode)] = cached
+        cached = _runner.cache_get(spec)
         if cached is not None:
             self.stats.cache_hits += 1
-            _runner._journal_append(unit.key, "done")
-            self._resolve_result(unit, self._spec_summary(unit, cached, True))
+            _runner.journal_append(unit.key, "done")
+            self._resolve_spec(unit, cached, cached=True)
             return
-        _runner._journal_append(unit.key, "running")
-        generation = self._pool_generation
-        try:
-            future = self._pool_submit(
-                _runner._simulate, spec, False, unit.job.correlation
-            )
-            result = future.result(timeout=_runner._spec_timeout())
-        except BrokenProcessPool:
-            self._respawn_pool(generation)
-            self._interrupted(unit, "worker process died")
+        if unit.interruptions >= _runner.quarantine_after():
+            self._quarantine(unit)  # a resumed crash loop: never re-run
             return
-        except _FutureTimeout:
-            future.cancel()
-            self._errored(
-                unit, f"spec exceeded {_runner._spec_timeout()}s"
-            )
+        _runner.journal_append(unit.key, "running")
+        ok, result = self._attempt(
+            unit,
+            _runner.simulate,
+            spec,
+            correlation=unit.job.correlation,
+            resume=unit.job.resume,
+        )
+        if not ok:
             return
-        except Exception as exc:
-            self._errored(unit, repr(exc))
-            return
-        _runner._store(spec, result, verbose=False)
-        _runner._journal_append(unit.key, "done")
-        self._resolve_result(unit, self._spec_summary(unit, result, False))
+        _runner.cache_put(spec, result)
+        _runner.journal_append(unit.key, "done")
+        self._resolve_spec(unit, result, cached=False)
 
     def _execute_campaign(self, unit: WorkUnit) -> None:
+        ok, summary = self._attempt(unit, run_campaign_payload, unit.payload)
+        if ok:
+            self._resolve_result(unit, summary, campaign=summary)
+
+    def _attempt(self, unit: WorkUnit, fn, *args, **kwargs):
+        """One attempt at a unit: ``(True, value)``, or ``(False, None)``
+        once the failure is routed — a dead worker to
+        :meth:`_interrupted`, anything else (timeouts included) to
+        :meth:`_errored`."""
         generation = self._pool_generation
         try:
-            future = self._pool_submit(run_campaign_payload, unit.payload)
-            summary = future.result(timeout=_runner._spec_timeout())
-        except BrokenProcessPool:
+            if self._inline:
+                return True, fn(*args, **kwargs)
+            future, generation = self._pool_submit(fn, *args, **kwargs)
+            timeout = _runner.spec_timeout()
+            try:
+                return True, future.result(timeout=timeout)
+            except _FutureTimeout:
+                future.cancel()  # no-op once running; the worker is abandoned
+                raise TimeoutError(
+                    f"{unit.describe()} exceeded {timeout}s"
+                ) from None
+        except BrokenProcessPool as exc:
             self._respawn_pool(generation)
-            self._interrupted(unit, "worker process died")
-            return
-        except _FutureTimeout:
-            future.cancel()
-            self._errored(
-                unit, f"campaign exceeded {_runner._spec_timeout()}s"
-            )
-            return
+            self._interrupted(unit, exc)
         except Exception as exc:
-            self._errored(unit, repr(exc))
-            return
-        event = {
-            "type": "result",
-            "job": unit.job.job_id,
-            "correlation": unit.job.correlation,
-            "index": unit.index,
-            "key": unit.key,
-            "campaign": summary,
-        }
-        self._resolve_result(unit, event)
+            self._errored(unit, exc)
+        return False, None
 
-    def _spec_summary(self, unit: WorkUnit, result, cached: bool) -> Dict:
-        return {
-            "type": "result",
-            "job": unit.job.job_id,
-            "correlation": unit.job.correlation,
-            "index": unit.index,
-            "key": unit.key,
-            "digest": _runner.result_digest(result),
-            "cached": cached,
-            "scheme": unit.spec.scheme,
-            "workload": unit.spec.workload,
-            "cycles": result.cycles,
-            "avg_miss_latency": result.avg_miss_latency,
-        }
+    def _resolve_spec(self, unit: WorkUnit, result, cached: bool) -> None:
+        self._resolve_result(
+            unit,
+            result,
+            digest=_runner.result_digest(result),
+            cached=cached,
+            scheme=unit.spec.scheme,
+            workload=unit.spec.workload,
+            cycles=result.cycles,
+            avg_miss_latency=result.avg_miss_latency,
+        )
 
     # -- failure/retry plumbing ----------------------------------------------
-    def _interrupted(self, unit: WorkUnit, message: str) -> None:
+    def _interrupted(self, unit: WorkUnit, exc: BaseException) -> None:
         """A worker died under the unit — the crash-loop path."""
         unit.interruptions += 1
-        unit.last_error = message
-        limit = _quarantine_after()
-        if unit.interruptions >= limit:
-            self.stats.units_quarantined += 1
-            if unit.kind == UNIT_SPEC:
-                _runner._journal_append(
-                    unit.key, "quarantined", attempts=unit.interruptions
-                )
-            _LOG.warning(
-                "quarantined %s after %d interruptions",
-                unit.describe(),
-                unit.interruptions,
-            )
-            recorder = _flight.recorder(role="service")
-            recorder.record(
-                "quarantine",
-                unit=unit.describe(),
-                job=unit.job.job_id,
-                attempts=unit.interruptions,
-                error=message,
-            )
-            recorder.dump(
-                "quarantine",
-                corr=unit.job.correlation,
-                extra={
-                    "key": unit.key,
-                    "attempts": unit.interruptions,
-                    "error": message,
-                },
-            )
-            self._resolve_failure(
-                unit,
-                f"quarantined after {unit.interruptions} interrupted "
-                f"attempts: {message}",
-                quarantined=True,
-            )
-            return
-        self._requeue(unit, unit.interruptions, message)
+        unit.record_error(exc)
+        if unit.interruptions >= _runner.quarantine_after():
+            self._quarantine(unit)
+        else:
+            self._requeue(unit, unit.interruptions)
 
-    def _errored(self, unit: WorkUnit, message: str) -> None:
+    def _errored(self, unit: WorkUnit, exc: BaseException) -> None:
         """The unit's own exception/timeout — bounded ordinary retries."""
         unit.errors += 1
-        unit.last_error = message
+        unit.record_error(exc)
         if unit.errors > self.error_retries:
             if unit.kind == UNIT_SPEC:
-                _runner._journal_append(unit.key, "failed", error=message)
-            self._resolve_failure(unit, message)
-            return
-        self._requeue(unit, unit.errors, message)
+                _runner.journal_append(unit.key, "failed", error=repr(exc))
+            self._resolve_failure(unit)
+        else:
+            self._requeue(unit, unit.errors)
 
-    def _requeue(self, unit: WorkUnit, attempt: int, message: str) -> None:
-        base = (
-            _runner._retry_backoff(unit.spec)
-            if unit.kind == UNIT_SPEC
-            else _runner._retry_backoff()
+    def _quarantine(self, unit: WorkUnit) -> None:
+        self.stats.units_quarantined += 1
+        unit.error = RuntimeError(
+            f"quarantined after {unit.interruptions} interrupted "
+            f"attempts: {unit.describe()}"
         )
-        delay = min(max(base, 0.05) * (2 ** (attempt - 1)), _BACKOFF_CAP)
-        unit.ready_at = time.monotonic() + delay
+        if unit.kind == UNIT_SPEC:
+            _runner.journal_append(
+                unit.key, "quarantined", attempts=unit.interruptions
+            )
+        _LOG.warning(
+            "quarantined %s after %d interruptions",
+            unit.describe(),
+            unit.interruptions,
+        )
+        recorder = _flight.recorder(role="service")
+        recorder.record(
+            "quarantine",
+            unit=unit.describe(),
+            job=unit.job.job_id,
+            attempts=unit.interruptions,
+            error=repr(unit.first_error),
+        )
+        recorder.dump(
+            "quarantine",
+            corr=unit.job.correlation,
+            extra={
+                "key": unit.key,
+                "attempts": unit.interruptions,
+                "error": repr(unit.first_error),
+            },
+        )
+        self._resolve_failure(unit, quarantined=True)
+
+    def _requeue(self, unit: WorkUnit, attempt: int) -> None:
+        with self._cond:
+            delay = self._delay_locked(unit, attempt)
+            self._cond.notify_all()
         self.stats.retries += 1
         self.series.record(retry=1)
         _flight.recorder(role="service").record(
@@ -810,21 +878,34 @@ class CampaignService:
             job=unit.job.job_id,
             attempt=attempt,
             delay=round(delay, 3),
-            error=message,
+            error=repr(unit.error),
         )
         _LOG.info(
-            "retrying %s in %.2fs (attempt %d): %s",
+            "retrying %s in %.2fs (attempt %d): %r",
             unit.describe(),
             delay,
             attempt,
-            message,
+            unit.error,
         )
-        with self._cond:
-            self._delayed.append(unit)
-            self._cond.notify_all()
 
     # -- resolution ----------------------------------------------------------
-    def _resolve_result(self, unit: WorkUnit, event: Dict) -> None:
+    def _publish(self, unit: WorkUnit, kind: str, **fields) -> None:
+        """Publish one unit's ``result``/``failed`` event, then finish
+        the job if that was its last unit."""
+        unit.job.publish(
+            {
+                "type": kind,
+                "job": unit.job.job_id,
+                "correlation": unit.job.correlation,
+                "index": unit.index,
+                "key": unit.key,
+                **fields,
+            }
+        )
+        self._maybe_finish(unit.job)
+
+    def _resolve_result(self, unit: WorkUnit, result, **fields) -> None:
+        unit.result = result
         self.stats.units_completed += 1
         self.series.record(completed=1)
         if unit.kind == UNIT_SPEC and unit.spec is not None:
@@ -832,26 +913,16 @@ class CampaignService:
                 self._scheme_completed[unit.spec.scheme] = (
                     self._scheme_completed.get(unit.spec.scheme, 0) + 1
                 )
-        unit.job.publish(event)
-        self._maybe_finish(unit.job)
+        self._publish(unit, "result", **fields)
 
     def _resolve_failure(
-        self, unit: WorkUnit, message: str, quarantined: bool = False
+        self, unit: WorkUnit, quarantined: bool = False
     ) -> None:
         self.stats.units_failed += 1
         self.series.record(failed=1)
-        unit.job.publish(
-            {
-                "type": "failed",
-                "job": unit.job.job_id,
-                "correlation": unit.job.correlation,
-                "index": unit.index,
-                "key": unit.key,
-                "error": message,
-                "quarantined": quarantined,
-            }
+        self._publish(
+            unit, "failed", error=repr(unit.error), quarantined=quarantined
         )
-        self._maybe_finish(unit.job)
 
     def _maybe_finish(self, job: Job) -> None:
         if not job.claim_done():
@@ -878,14 +949,17 @@ class CampaignService:
         )
 
     # -- the process pool ----------------------------------------------------
-    def _pool_submit(self, fn, *args):
+    def _pool_submit(self, fn, *args, **kwargs):
+        """Submit to the live pool; returns ``(future, generation)``."""
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_pool_worker_init,
                 )
-            return self._pool.submit(fn, *args)
+            future = self._pool.submit(fn, *args, **kwargs)
+            return future, self._pool_generation
+
 
     def _respawn_pool(self, generation: int) -> None:
         """Tear down a broken pool exactly once per generation (every
@@ -915,9 +989,3 @@ class CampaignService:
                 },
             },
         )
-
-    # -- logging handshake ---------------------------------------------------
-    def enable_verbose(self) -> None:
-        from repro.telemetry.log import ensure_level
-
-        ensure_level(logging.INFO)

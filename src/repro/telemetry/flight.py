@@ -1,6 +1,6 @@
 """Crash flight recorder: a bounded ring of recent structured events.
 
-When a pool worker dies — watchdog SIGKILL, OOM, ``BrokenProcessPool``,
+When a pool worker dies — watchdog SIGKILL, OOM, a broken process pool,
 invariant violation, checkpoint quarantine — today's evidence is one log
 line ("worker process died") and a stale heartbeat file.  The flight
 recorder turns that into a postmortem artifact: each process keeps a

@@ -42,7 +42,7 @@ def _fresh_caches(tmp_path, monkeypatch):
 
 
 def _build_cold(spec):
-    """Full cold-start construction, as ``runner._simulate`` does it."""
+    """Full cold-start construction, as ``runner.simulate`` does it."""
     from repro.cmp.schemes import make_scheme
     from repro.cmp.system import CmpSystem
     from repro.workloads.trace import generate_traces
@@ -131,9 +131,10 @@ class TestInertDefault:
         assert result_digest(result) == GOLDEN_DIGESTS["disco"]
         blob = runner._disk_path(spec).read_bytes()
         assert blob.startswith(runner._CACHE_MAGIC)
-        payload = blob[runner._ENVELOPE_HEADER:]
+        header = len(runner._CACHE_MAGIC) + hashlib.sha256().digest_size
+        payload = blob[header:]
         assert (
-            blob[len(runner._CACHE_MAGIC):runner._ENVELOPE_HEADER]
+            blob[len(runner._CACHE_MAGIC):header]
             == hashlib.sha256(payload).digest()
         )
 

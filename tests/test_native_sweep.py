@@ -57,7 +57,7 @@ needs_native = pytest.mark.skipif(
 
 # -- helpers -----------------------------------------------------------------
 def _system(spec, native_sweep, noc=None, disco=None):
-    """``runner._simulate``'s construction, with an optional fabric and
+    """``runner.simulate``'s construction, with an optional fabric and
     DISCO configuration."""
     from repro.workloads.trace import generate_traces
 
@@ -402,7 +402,7 @@ class TestUnavailable:
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         spec = RunSpec(scheme="cc", workload="blackscholes",
                        accesses_per_core=QUICK_ACCESSES)
-        assert result_digest(runner._simulate(spec)) == GOLDEN_DIGESTS["cc"]
+        assert result_digest(runner.simulate(spec)) == GOLDEN_DIGESTS["cc"]
 
     def test_build_failure_names_the_compiler_error(
         self, monkeypatch, tmp_path, captured

@@ -396,7 +396,7 @@ class TestCorrelation:
             for event in job.stream(timeout=60.0):
                 if event["type"] in ("done", "timeout"):
                     break
-            entries = runner._journal_read()
+            entries = runner.journal_read()
             key = spec_key(RunSpec(scheme="baseline", **QUICK))
             assert entries[key]["corr"] == job.correlation
         finally:
@@ -561,8 +561,8 @@ class TestInvariance:
         monkeypatch.setenv("REPRO_HEARTBEAT_DIR", str(tmp_path / "hb"))
         for scheme, spec in specs.items():
             with correlation_scope(f"c-invariance-{scheme}"):
-                result = runner._simulate(spec)
-                runner._store(spec, result, verbose=False)
+                result = runner.simulate(spec)
+                runner.cache_put(spec, result)
             assert result_digest(result) == GOLDEN_DIGESTS[scheme], (
                 f"observability plane perturbed the {scheme} digest"
             )

@@ -17,11 +17,12 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import checkpoint, runner
 from repro.experiments.runner import (
     RunnerError,
     RunSpec,
@@ -33,6 +34,7 @@ from repro.experiments.runner import (
     run_specs,
     spec_key,
 )
+from repro.service import CampaignService
 
 #: Small enough to keep each simulation around a tenth of a second.
 QUICK = dict(workload="x264", accesses_per_core=40)
@@ -58,6 +60,20 @@ def _fresh_caches(tmp_path, monkeypatch):
     clear_cache()
     yield
     clear_cache()
+
+
+def _count_simulations(monkeypatch):
+    """Record every spec that reaches ``runner.simulate`` in this
+    process."""
+    calls = []
+    real = runner.simulate
+    monkeypatch.setattr(
+        runner,
+        "simulate",
+        lambda spec, *args, **kwargs: calls.append(spec)
+        or real(spec, *args, **kwargs),
+    )
+    return calls
 
 
 class TestSpecKey:
@@ -91,17 +107,26 @@ class TestSpecKey:
         )
         assert child.stdout.strip() == spec_key(spec)
 
+    def test_source_fingerprint_covers_the_native_sweep(self, monkeypatch):
+        """An edit to ``noc/_sweep.c`` must invalidate cached results
+        just like an edit to a Python module."""
+        monkeypatch.setattr(runner, "_SOURCE_FINGERPRINT", None)
+        before = runner._source_fingerprint()
+        real = Path.read_bytes
+
+        def edited(path):
+            data = real(path)
+            return data + b"/* edit */" if path.name == "_sweep.c" else data
+
+        monkeypatch.setattr(Path, "read_bytes", edited)
+        monkeypatch.setattr(runner, "_SOURCE_FINGERPRINT", None)
+        assert runner._source_fingerprint() != before
+
 
 class TestDiskCache:
     def test_miss_simulates_then_hit_skips(self, monkeypatch):
         spec = RunSpec(scheme="baseline", **QUICK)
-        calls = []
-        real = runner._simulate
-        monkeypatch.setattr(
-            runner,
-            "_simulate",
-            lambda s, verbose=False: calls.append(s) or real(s, verbose),
-        )
+        calls = _count_simulations(monkeypatch)
         first = run_spec(spec)
         assert calls == [spec]  # miss -> simulated
         clear_cache()  # drop the memo; the disk entry must satisfy the rerun
@@ -116,13 +141,7 @@ class TestDiskCache:
         clear_cache()
         monkeypatch.setattr(runner, "CODE_VERSION", "2")
         assert spec_key(spec) != old_key
-        calls = []
-        real = runner._simulate
-        monkeypatch.setattr(
-            runner,
-            "_simulate",
-            lambda s, verbose=False: calls.append(s) or real(s, verbose),
-        )
+        calls = _count_simulations(monkeypatch)
         run_spec(spec)
         assert calls == [spec]  # stale entry ignored, simulation re-ran
 
@@ -236,9 +255,10 @@ class TestDiskCache:
         blob = runner._disk_path(spec).read_bytes()
         # Envelope: 4-byte magic + 32-byte SHA-256 of the pickle payload.
         assert blob.startswith(runner._CACHE_MAGIC)
-        payload = blob[runner._ENVELOPE_HEADER:]
+        header = len(runner._CACHE_MAGIC) + hashlib.sha256().digest_size
+        payload = blob[header:]
         assert (
-            blob[len(runner._CACHE_MAGIC):runner._ENVELOPE_HEADER]
+            blob[len(runner._CACHE_MAGIC):header]
             == hashlib.sha256(payload).digest()
         )
         stored = pickle.loads(payload)
@@ -266,13 +286,7 @@ class TestParallel:
 
     def test_run_specs_dedupes_and_reuses_cache(self, monkeypatch):
         spec = RunSpec(scheme="baseline", **QUICK)
-        calls = []
-        real = runner._simulate
-        monkeypatch.setattr(
-            runner,
-            "_simulate",
-            lambda s, verbose=False: calls.append(s) or real(s, verbose),
-        )
+        calls = _count_simulations(monkeypatch)
         out = run_specs([spec, spec, spec], jobs=1)
         assert calls == [spec]
         assert list(out) == [spec]
@@ -333,12 +347,78 @@ class TestParallel:
         assert serial / parallel >= 2.0
 
 
-class TestFailureContainment:
-    """A misbehaving worker must not take the batch down with it.
+# --------------------------------------------------------------------------
+# one failure taxonomy, three entry points
+# --------------------------------------------------------------------------
 
-    These tests sabotage real pool workers through the
-    ``REPRO_RUNNER_FAULT`` hook in :func:`runner._simulate` — actual
-    crashed/killed/hung processes, not monkeypatched stand-ins.
+JOBS1 = "run_specs(jobs=1)"
+JOBS3 = "run_specs(jobs=3)"
+SUBMIT = "CampaignService.submit"
+
+
+def _journal_states(key):
+    """Every state journaled for ``key``, in order (the raw ledger, not
+    the folded view)."""
+    lines = runner._journal_path().read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    return [record["state"] for record in records if record["key"] == key]
+
+
+def _simulated(log):
+    """Spec keys a ``REPRO_SIM_LOG`` file recorded, from any process."""
+    return log.read_text().split() if log.exists() else []
+
+
+class _EntryPoint:
+    """Runs a batch through :attr:`entry_point`.
+
+    The failure-taxonomy cases below are mixins: each ``Test*`` class
+    pins one entry point — ``run_specs(jobs=1)`` (units on the calling
+    thread), ``run_specs(jobs=3)`` (the service's process pool) or a
+    started service's ``submit`` — so every case runs through all three.
+    A submitted job's outcome is raised as the :class:`RunnerError` the
+    runner would raise; the service and the job stay in ``self.service``
+    and ``self.job`` for their counters and events.  ``run_specs`` runs
+    a single miss on the calling thread whatever ``jobs`` says, so cases
+    that must reach the pool batch at least two misses.
+    """
+
+    entry_point = JOBS1
+    service = job = None
+    #: A second miss keeps ``run_specs(jobs=3)`` on the process pool.
+    COMPANION = RunSpec(scheme="cc", **QUICK)
+
+    @property
+    def pooled(self):
+        return self.entry_point != JOBS1
+
+    def run(self, specs, monkeypatch, resume=False):
+        if self.entry_point != SUBMIT:
+            jobs = 1 if self.entry_point == JOBS1 else 3
+            return run_specs(specs, jobs=jobs, resume=resume)
+        if resume:
+            monkeypatch.setenv("REPRO_RESUME", "1")
+        self.service = CampaignService(workers=3, rate=1000.0, burst=1000.0)
+        self.service.start()
+        try:
+            self.job = job = self.service.submit(specs=specs, client="taxonomy")
+            for event in job.stream(timeout=120.0):
+                assert event["type"] != "timeout", "job never finished"
+        finally:
+            self.service.shutdown(drain=False, timeout=10.0)
+            monkeypatch.delenv("REPRO_RESUME", raising=False)
+        results, failures, prior = job.outcome()
+        if failures:
+            raise RunnerError(failures, results, prior)
+        return results
+
+
+class _FailureContainmentCases(_EntryPoint):
+    """A misbehaving spec must not take the batch down with it.
+
+    These tests sabotage real simulations through the
+    ``REPRO_RUNNER_FAULT`` hook in :func:`runner.simulate` — actual
+    crashed/killed/hung worker processes, not monkeypatched stand-ins.
     """
 
     SPECS = [
@@ -351,23 +431,21 @@ class TestFailureContainment:
     ):
         monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:disco:dedup")
         with pytest.raises(RunnerError) as excinfo:
-            run_specs(self.SPECS, jobs=3)
+            self.run(self.SPECS, monkeypatch)
         error = excinfo.value
         assert [spec.workload for spec in error.failures] == ["dedup"]
         assert set(error.completed) == {self.SPECS[0], self.SPECS[2]}
         # The message names the failing spec — and only that one.
         assert "dedup" in str(error)
         assert "x264" not in str(error) and "canneal" not in str(error)
+        # One retry, then a terminal record in the journal.
+        assert _journal_states(spec_key(self.SPECS[1])) == [
+            "pending", "running", "running", "failed",
+        ]
         # Survivors were published: a fault-free rerun only recomputes
         # the failed spec (the others hit the memo/disk caches).
         monkeypatch.delenv("REPRO_RUNNER_FAULT")
-        calls = []
-        real = runner._simulate
-        monkeypatch.setattr(
-            runner,
-            "_simulate",
-            lambda s, verbose=False: calls.append(s) or real(s, verbose),
-        )
+        calls = _count_simulations(monkeypatch)
         out = run_specs(self.SPECS, jobs=1)
         assert len(out) == 3
         assert calls == [self.SPECS[1]]
@@ -379,19 +457,53 @@ class TestFailureContainment:
         monkeypatch.setenv(
             "REPRO_RUNNER_FAULT", f"crash-once:disco:dedup:{marker}"
         )
-        out = run_specs(self.SPECS, jobs=2)
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        out = self.run(self.SPECS, monkeypatch)
         assert len(out) == 3
         assert marker.exists()  # the fault really fired (and was retried)
+        assert _journal_states(spec_key(self.SPECS[1])) == [
+            "pending", "running", "running", "done",
+        ]
+        if self.entry_point == SUBMIT:
+            assert self.service.stats.retries == 1
+            assert self.service.stats.units_completed == 3
 
-    def test_dead_worker_falls_back_to_serial(self, monkeypatch):
-        # os._exit in a worker kills it without unwinding -> the pool
-        # breaks.  The fallback reruns in-process, where the exit mode
-        # never fires, so the whole batch still completes.
+    def test_worker_killing_spec_is_quarantined_survivors_complete(
+        self, monkeypatch
+    ):
+        # os._exit in a worker kills it without unwinding: the pool
+        # breaks under every unit in flight.  Interrupted units re-run
+        # alone, so the survivors complete and the spec that keeps
+        # killing its worker reaches the quarantine bound.
         monkeypatch.setenv("REPRO_RUNNER_FAULT", "exit:disco:dedup")
-        out = run_specs(self.SPECS, jobs=3)
-        assert len(out) == 3
-        for spec in self.SPECS:
-            assert out[spec].cycles > 0
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setenv("REPRO_QUARANTINE_AFTER", "2")
+        if not self.pooled:
+            # No worker to kill: the fault never fires on the caller.
+            assert set(self.run(self.SPECS, monkeypatch)) == set(self.SPECS)
+            return
+        with pytest.raises(RunnerError) as excinfo:
+            self.run(self.SPECS, monkeypatch)
+        error = excinfo.value
+        [(spec, exc)] = error.failures.items()
+        assert spec.workload == "dedup"
+        assert "quarantined after 2 interrupted attempts" in str(exc)
+        assert isinstance(error.prior[spec], BrokenProcessPool)
+        assert "dedup" in str(error)
+        assert set(error.completed) == {self.SPECS[0], self.SPECS[2]}
+        assert _journal_states(spec_key(spec)) == [
+            "pending", "running", "running", "quarantined",
+        ]
+        for survivor in error.completed:
+            assert _journal_states(spec_key(survivor))[-1] == "done"
+        if self.entry_point == SUBMIT:
+            [event] = self.job.failures.values()
+            assert event["quarantined"] is True
+            assert "2 interrupted attempts" in event["error"]
+            stats = self.service.stats
+            assert stats.units_quarantined == 1
+            assert stats.units_completed == 2
+            assert stats.worker_respawns == 2
 
     def test_hung_worker_times_out_and_retry_succeeds(
         self, tmp_path, monkeypatch
@@ -403,19 +515,17 @@ class TestFailureContainment:
         monkeypatch.setenv("REPRO_RUNNER_HANG_SECONDS", "3")
         monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "1.0")
         start = time.perf_counter()
-        out = run_specs(self.SPECS, jobs=3)
+        out = self.run(self.SPECS, monkeypatch)
         assert len(out) == 3
-        assert marker.exists()
+        # The hang fires only in a pool worker, never on the caller.
+        assert marker.exists() == self.pooled
         # The batch must not have waited out the full hang serially per
         # spec; the hung future was abandoned after its timeout.
         assert time.perf_counter() - start < 30
-
-    def test_serial_path_contains_failures_too(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:disco:dedup")
-        with pytest.raises(RunnerError) as excinfo:
-            run_specs(self.SPECS, jobs=1)
-        assert len(excinfo.value.completed) == 2
-        assert [s.workload for s in excinfo.value.failures] == ["dedup"]
+        if self.pooled:
+            assert _journal_states(spec_key(self.SPECS[1])) == [
+                "pending", "running", "running", "done",
+            ]
 
     def test_persistent_crash_reports_first_attempt_reason(
         self, monkeypatch
@@ -426,30 +536,63 @@ class TestFailureContainment:
         monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:disco:dedup")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         with pytest.raises(RunnerError) as excinfo:
-            run_specs(self.SPECS, jobs=3)
+            self.run(self.SPECS, monkeypatch)
         error = excinfo.value
         [failed] = list(error.failures)
         assert failed.workload == "dedup"
+        assert isinstance(error.failures[failed], RuntimeError)
         assert isinstance(error.prior.get(failed), RuntimeError)
+        assert error.prior[failed] is not error.failures[failed]
         assert "first attempt:" in str(error)
         assert "injected runner fault" in str(error)
+        assert runner.journal_read()[spec_key(failed)]["state"] == "failed"
+        if self.entry_point == SUBMIT:
+            [event] = self.job.failures.values()
+            assert event["quarantined"] is False
+            assert "injected runner fault" in event["error"]
+            assert self.job.state == "failed"
+            stats = self.service.stats
+            assert stats.retries == 1  # one retry, then failed
+            assert stats.units_failed == 1
+            assert stats.jobs_failed == 1
 
 
-class TestSerialTimeout:
+class TestFailureContainment(_FailureContainmentCases):
+    entry_point = JOBS1
+
+    def test_serial_path_contains_failures_too(self, monkeypatch):
+        # One worker runs every unit on the calling thread; a crashing
+        # spec still fails alone and the rest of the batch completes.
+        monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:disco:dedup")
+        with pytest.raises(RunnerError) as excinfo:
+            run_specs(self.SPECS, jobs=1)
+        assert len(excinfo.value.completed) == 2
+        assert [s.workload for s in excinfo.value.failures] == ["dedup"]
+
+
+class _SerialTimeoutCases(_EntryPoint):
     def test_serial_path_enforces_spec_timeout(self, monkeypatch):
-        """``REPRO_SPEC_TIMEOUT`` must bound serial in-process runs too,
-        not just pool futures: a run that blows its budget raises
-        ``TimeoutError`` through both attempts and lands in the failure
-        set with the first symptom recorded."""
+        """``REPRO_SPEC_TIMEOUT`` bounds every run — on the calling
+        thread through the cooperative deadline in ``simulate`` (started
+        before the system is built), on the pool through the future's
+        timeout: a run over budget raises ``TimeoutError`` through both
+        attempts and lands in the failure set with the first symptom
+        recorded."""
         monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "0.05")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        spec = RunSpec(
-            scheme="disco", workload="x264", accesses_per_core=2000
-        )
+        specs = [
+            RunSpec(scheme=scheme, workload="x264", accesses_per_core=2000)
+            for scheme in ("disco", "cc")
+        ]
         with pytest.raises(RunnerError) as excinfo:
-            run_specs([spec], jobs=1)
-        assert isinstance(excinfo.value.failures[spec], TimeoutError)
-        assert isinstance(excinfo.value.prior.get(spec), TimeoutError)
+            self.run(specs, monkeypatch)
+        for spec in specs:
+            assert isinstance(excinfo.value.failures[spec], TimeoutError)
+            assert isinstance(excinfo.value.prior.get(spec), TimeoutError)
+
+
+class TestSerialTimeout(_SerialTimeoutCases):
+    entry_point = JOBS1
 
 
 class TestWatchdog:
@@ -505,16 +648,16 @@ class TestWatchdog:
 class TestRetryBackoff:
     def test_disabled_by_zero(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        assert runner._retry_backoff() == 0.0
+        assert runner.retry_backoff() == 0.0
 
     def test_jitter_stays_within_half_to_one_and_a_half(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.2")
         for _ in range(20):
-            assert 0.1 <= runner._retry_backoff() <= 0.3
+            assert 0.1 <= runner.retry_backoff() <= 0.3
 
     def test_unparseable_value_falls_back_to_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "soon-ish")
-        assert 0.05 <= runner._retry_backoff() <= 0.15
+        assert 0.05 <= runner.retry_backoff() <= 0.15
 
     def test_spec_seeded_jitter_is_reproducible(self, monkeypatch):
         """Given a spec, the jitter comes from a generator seeded by its
@@ -523,78 +666,100 @@ class TestRetryBackoff:
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.2")
         a = RunSpec(scheme="disco", **QUICK)
         b = RunSpec(scheme="cc", **QUICK)
-        first = runner._retry_backoff(a)
-        assert first == runner._retry_backoff(a)
+        first = runner.retry_backoff(a)
+        assert first == runner.retry_backoff(a)
         assert 0.1 <= first <= 0.3
-        assert runner._retry_backoff(b) != first
+        assert runner.retry_backoff(b) != first
         # Global-RNG state must not perturb the seeded draw.
         import random as _random
 
         _random.random()
-        assert runner._retry_backoff(a) == first
+        assert runner.retry_backoff(a) == first
 
 
-class TestCampaignJournal:
+class _ResumeCases(_EntryPoint):
+    def test_resume_quarantines_crash_looped_specs(
+        self, tmp_path, monkeypatch
+    ):
+        """A spec journaled ``running`` with no terminal record N times is
+        a crash loop: resume fails it up-front instead of re-running."""
+        monkeypatch.setenv("REPRO_QUARANTINE_AFTER", "2")
+        log = tmp_path / "sims.log"
+        monkeypatch.setenv("REPRO_SIM_LOG", str(log))
+        spec = RunSpec(scheme="baseline", **QUICK)
+        key = spec_key(spec)
+        runner.journal_append(key, "running")
+        runner.journal_append(key, "running")
+        with pytest.raises(RunnerError) as excinfo:
+            self.run([spec, self.COMPANION], monkeypatch, resume=True)
+        assert key not in _simulated(log)  # never re-attempted
+        assert "quarantined after 2 interrupted attempts" in str(
+            excinfo.value.failures[spec]
+        )
+        assert set(excinfo.value.completed) == {self.COMPANION}
+        assert runner.journal_read()[key]["state"] == "quarantined"
+
+    def test_resume_skips_done_specs_without_recompute(
+        self, tmp_path, monkeypatch
+    ):
+        spec = RunSpec(scheme="baseline", **QUICK)
+        run_specs([spec], jobs=1)
+        clear_cache()  # drop the memo; disk cache + journal remain
+        log = tmp_path / "sims.log"
+        monkeypatch.setenv("REPRO_SIM_LOG", str(log))
+        out = self.run([spec], monkeypatch, resume=True)
+        assert _simulated(log) == []  # served from the disk cache
+        assert out[spec].cycles > 0
+
+
+class TestCampaignJournal(_ResumeCases):
+    entry_point = JOBS1
+
     def test_states_fold_with_running_attempt_counting(self, monkeypatch):
-        runner._journal_append("k1", "pending")
-        runner._journal_append("k1", "running")
-        runner._journal_append("k1", "done")
-        runner._journal_append("k2", "running")
-        runner._journal_append("k2", "running")
-        entries = runner._journal_read()
+        runner.journal_append("k1", "pending")
+        runner.journal_append("k1", "running")
+        runner.journal_append("k1", "done")
+        runner.journal_append("k2", "running")
+        runner.journal_append("k2", "running")
+        entries = runner.journal_read()
         assert entries["k1"] == {"state": "done", "attempts": 0}
         assert entries["k2"] == {"state": "running", "attempts": 2}
 
     def test_torn_tail_is_skipped(self):
-        runner._journal_append("k1", "running")
+        runner.journal_append("k1", "running")
         with open(runner._journal_path(), "a", encoding="utf-8") as handle:
             handle.write('{"key": "k2", "sta')  # crash mid-append
-        entries = runner._journal_read()
+        entries = runner.journal_read()
         assert entries == {"k1": {"state": "running", "attempts": 1}}
 
     def test_batches_journal_done_specs(self):
         spec = RunSpec(scheme="baseline", **QUICK)
         run_specs([spec], jobs=1)
-        entries = runner._journal_read()
+        entries = runner.journal_read()
         assert entries[spec_key(spec)]["state"] == "done"
 
-    def test_resume_quarantines_crash_looped_specs(self, monkeypatch):
-        """A spec journaled ``running`` with no terminal record N times is
-        a crash loop: resume fails it up-front instead of re-running."""
-        monkeypatch.setenv("REPRO_QUARANTINE_AFTER", "2")
-        spec = RunSpec(scheme="baseline", **QUICK)
-        key = spec_key(spec)
-        runner._journal_append(key, "running")
-        runner._journal_append(key, "running")
-        calls = []
-        real = runner._simulate
-        monkeypatch.setattr(
-            runner,
-            "_simulate",
-            lambda s, verbose=False: calls.append(s) or real(s, verbose),
-        )
-        with pytest.raises(RunnerError) as excinfo:
-            run_specs([spec], jobs=1, resume=True)
-        assert calls == []  # never re-attempted
-        assert "quarantined after 2 interrupted attempts" in str(
-            excinfo.value.failures[spec]
-        )
-        assert runner._journal_read()[key]["state"] == "quarantined"
 
-    def test_resume_skips_done_specs_without_recompute(self, monkeypatch):
-        spec = RunSpec(scheme="baseline", **QUICK)
-        run_specs([spec], jobs=1)
-        clear_cache()  # drop the memo; disk cache + journal remain
-        calls = []
-        real = runner._simulate
-        monkeypatch.setattr(
-            runner,
-            "_simulate",
-            lambda s, verbose=False: calls.append(s) or real(s, verbose),
-        )
-        out = run_specs([spec], jobs=1, resume=True)
-        assert calls == []  # served from the disk cache, not re-run
-        assert out[spec].cycles > 0
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_resumed_batch_leaves_the_environment_alone(
+    jobs, tmp_path, monkeypatch
+):
+    """``resume=True`` reaches the checkpoint session as an argument —
+    in pool workers too — and ``os.environ`` is never written."""
+    seen = tmp_path / "sessions.log"
+    real = checkpoint.session_for
+
+    def spy(spec, resume=None):
+        with open(seen, "a", encoding="utf-8") as handle:
+            handle.write(f"{resume} {os.environ.get('REPRO_RESUME')}\n")
+        return real(spec, resume)
+
+    monkeypatch.setattr(checkpoint, "session_for", spy)
+    specs = [RunSpec(scheme=scheme, **QUICK) for scheme in ("baseline", "cc")]
+    before = dict(os.environ)
+    out = run_specs(specs, jobs=jobs, resume=True)
+    assert set(out) == set(specs)
+    assert dict(os.environ) == before
+    assert seen.read_text().splitlines() == ["True None"] * 2
 
 
 def test_cache_dir_override(tmp_path, monkeypatch):
@@ -602,7 +767,7 @@ def test_cache_dir_override(tmp_path, monkeypatch):
     assert runner.cache_dir() == Path(tmp_path / "elsewhere")
 
 
-class TestQuarantineBoundary:
+class _QuarantineBoundaryCases(_EntryPoint):
     """The crash-loop bound is exact: N interrupted attempts quarantine,
     N-1 retry (the other half of the boundary is
     ``test_resume_quarantines_crash_looped_specs`` above)."""
@@ -613,20 +778,43 @@ class TestQuarantineBoundary:
         spec = RunSpec(scheme="baseline", **QUICK)
         key = spec_key(spec)
         for _ in range(2):  # N-1 interrupted attempts on record
-            runner._journal_append(key, "running")
-        out = run_specs([spec], jobs=1, resume=True)
+            runner.journal_append(key, "running")
+        out = self.run([spec, self.COMPANION], monkeypatch, resume=True)
         assert out[spec].cycles > 0
-        assert runner._journal_read()[key]["state"] == "done"
+        assert runner.journal_read()[key]["state"] == "done"
 
     def test_exactly_at_the_bound_quarantines(self, monkeypatch):
         monkeypatch.setenv("REPRO_QUARANTINE_AFTER", "3")
         spec = RunSpec(scheme="baseline", **QUICK)
         key = spec_key(spec)
         for _ in range(3):
-            runner._journal_append(key, "running")
-        with pytest.raises(RunnerError):
-            run_specs([spec], jobs=1, resume=True)
-        assert runner._journal_read()[key]["state"] == "quarantined"
+            runner.journal_append(key, "running")
+        with pytest.raises(RunnerError) as excinfo:
+            self.run([spec, self.COMPANION], monkeypatch, resume=True)
+        assert set(excinfo.value.failures) == {spec}
+        assert runner.journal_read()[key]["state"] == "quarantined"
+
+
+class TestQuarantineBoundary(_QuarantineBoundaryCases):
+    entry_point = JOBS1
+
+
+class TestTaxonomyOnThePool(
+    _FailureContainmentCases,
+    _SerialTimeoutCases,
+    _ResumeCases,
+    _QuarantineBoundaryCases,
+):
+    entry_point = JOBS3
+
+
+class TestTaxonomyThroughTheService(
+    _FailureContainmentCases,
+    _SerialTimeoutCases,
+    _ResumeCases,
+    _QuarantineBoundaryCases,
+):
+    entry_point = SUBMIT
 
 
 class TestTornTailReplay:
@@ -649,7 +837,7 @@ class TestTornTailReplay:
         executed = set(log.read_text().split())
         assert spec_key(done_spec) not in executed  # no recompute
         assert spec_key(torn_spec) in executed
-        entries = runner._journal_read()
+        entries = runner.journal_read()
         assert entries[spec_key(done_spec)]["state"] == "done"
         assert entries[spec_key(torn_spec)]["state"] == "done"
 
@@ -696,7 +884,7 @@ from repro.experiments import runner
 from repro.experiments.runner import RunSpec, result_digest
 
 spec = RunSpec(scheme="baseline", workload="x264", accesses_per_core=40)
-result = runner._simulate(spec)
+result = runner.simulate(spec)
 deadline = float(os.environ["RACE_START"])
 while time.time() < deadline:  # line both writers up on one instant
     time.sleep(0.001)

@@ -336,7 +336,7 @@ class TestCampaignService:
             assert service.stats.cache_hits == 2
             assert service.stats.jobs_completed == 2
             # Spec units flow through the campaign journal.
-            entries = runner._journal_read()
+            entries = runner.journal_read()
             for spec in specs:
                 assert entries[spec_key(spec)]["state"] == "done"
 
@@ -391,59 +391,6 @@ class TestCampaignService:
         assert service.stats.steals == 1
         assert service._next_unit(0) is job.units[1]
         assert service.stats.steals == 1  # own heap: no steal counted
-
-    def test_transient_error_retries_then_succeeds(
-        self, tmp_path, monkeypatch
-    ):
-        marker = tmp_path / "fault.marker"
-        monkeypatch.setenv(
-            "REPRO_RUNNER_FAULT", f"crash-once:baseline:x264:{marker}"
-        )
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        with running_service(workers=1) as service:
-            job = service.submit(
-                specs=[RunSpec(scheme="baseline", **QUICK)], client="retry"
-            )
-            results, failures, _ = _collect(job)
-            assert len(results) == 1 and not failures
-            assert service.stats.retries == 1
-            assert service.stats.units_completed == 1
-
-    def test_persistent_error_fails_after_bounded_retries(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:baseline:x264")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        with running_service(workers=1) as service:
-            spec = RunSpec(scheme="baseline", **QUICK)
-            job = service.submit(specs=[spec], client="fail")
-            results, failures, _ = _collect(job)
-            assert results == [] and len(failures) == 1
-            assert "injected runner fault" in failures[0]["error"]
-            assert failures[0]["quarantined"] is False
-            assert service.stats.retries == 1  # one retry, then failed
-            assert service.stats.units_failed == 1
-            assert service.stats.jobs_failed == 1
-            assert job.state == "failed"
-            entries = runner._journal_read()
-            assert entries[spec_key(spec)]["state"] == "failed"
-
-    def test_worker_death_loop_quarantines_at_the_bound(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "exit:baseline:x264")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        monkeypatch.setenv("REPRO_QUARANTINE_AFTER", "2")
-        with running_service(workers=1) as service:
-            spec = RunSpec(scheme="baseline", **QUICK)
-            job = service.submit(specs=[spec], client="chaos")
-            results, failures, _ = _collect(job)
-            assert results == [] and len(failures) == 1
-            assert failures[0]["quarantined"] is True
-            assert "2 interrupted attempts" in failures[0]["error"]
-            assert service.stats.units_quarantined == 1
-            assert service.stats.retries == 1  # N-1 retries before the bound
-            assert service.stats.worker_respawns >= 1
-            entries = runner._journal_read()
-            assert entries[spec_key(spec)]["state"] == "quarantined"
 
     def test_queue_full_and_too_large_shed(self):
         service = CampaignService(
@@ -505,6 +452,31 @@ class TestCampaignService:
             )
             assert isinstance(shed, Overloaded)
             assert "shutting down" in shed.detail
+
+    @pytest.mark.parametrize(
+        "watchdog, ready", [("0", True), ("2", False)]
+    )
+    def test_readiness_reads_the_watchdog_budget_like_the_runner(
+        self, watchdog, ready, tmp_path, monkeypatch
+    ):
+        """``REPRO_WATCHDOG_SECONDS=0`` means "watchdog off", so a 5 s old
+        heartbeat is within the default 60 s budget; an armed 2 s
+        watchdog makes the same heartbeat stale."""
+        beats = tmp_path / "hb"
+        beats.mkdir()
+        beat = beats / f"hb_{os.getpid()}.json"
+        beat.write_text(json.dumps({"pid": os.getpid(), "cycle": 1}))
+        stamp = time.time() - 5.0
+        os.utime(beat, (stamp, stamp))
+        monkeypatch.setenv("REPRO_HEARTBEAT_DIR", str(beats))
+        monkeypatch.setenv("REPRO_WATCHDOG_SECONDS", watchdog)
+        with running_service(workers=1) as service:
+            ok, detail = service.ready()
+        assert ok is ready, detail["reasons"]
+        assert any(
+            f"stale heartbeat pids: {os.getpid()}" in reason
+            for reason in detail["reasons"]
+        ) is not ready
 
     def test_counters_flow_through_the_registry(self):
         with running_service(workers=1) as service:
