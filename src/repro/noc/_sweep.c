@@ -1,15 +1,21 @@
 /*
- * Native router sweep: the SA/ST and VA stages of plain and DISCO routers
- * over the fabric's struct-of-arrays plane (repro.noc.fabric_state).
+ * Native router sweep: the SA/ST, VA and RC stages of plain and DISCO
+ * routers over the fabric's struct-of-arrays plane
+ * (repro.noc.fabric_state), and the landing of link flits.
  *
  * Plain C99, no Python headers.  repro.noc.native compiles this file
  * once into a shared library, loads it with ctypes and calls
  * repro_sweep() once per run of consecutive natively swept routers in
- * the net.routers phase.  The C side owns every array update of switch
- * allocation, switch traversal (tail release included) and VC
- * allocation; everything that touches Python objects is written to an
- * ordered event buffer the caller replays: link arrivals, ejections,
- * unbinding of released VCs, engine aborts and route computation.
+ * the net.routers phase, and repro_land() once per landed slot of the
+ * arrival ring in the net.arrivals phase.  The C side owns every array
+ * update of switch allocation, switch traversal (tail release
+ * included), VC allocation, route computation from the network's route
+ * table, and the buffer write of a landing flit.  A link send is
+ * appended to the arrival ring (repro.noc.network.ArrivalQueue).  What
+ * touches Python objects is written to an ordered event buffer the
+ * caller replays: head flits sent on a link (their packet is recorded),
+ * ejections, unbinding of released VCs, engine aborts and route-table
+ * misses.  A body flit sent on a link produces no event at all.
  *
  * A DISCO router (engine_cap > 0) differs from a plain one only in its
  * SA: a VC whose engine job is locked cannot request, arbitration takes
@@ -28,7 +34,7 @@
 
 #include <stdint.h>
 
-#define SWEEP_ABI 2
+#define SWEEP_ABI 3
 
 #define VC_IDLE 0
 #define VC_ROUTING 1
@@ -51,21 +57,42 @@ enum {
     D_RESERVED, D_OUT_PORT, D_OUT_VC_CLASS, D_OUT_VC, D_WAIT_CYCLES,
     D_CREDIT_DEBT, D_WEDGED_UNTIL, D_EJECT_TOKENS, D_PKT_SIZE, D_PKT_VNET,
     D_PKT_PRIO, D_PKT_CAND, D_ENGINE_VC, D_ENGINE_JOBS, D_ENGINE_CAP,
-    D_SA_RR, D_VC_BASE, D_PORT_BASE, D_RADIX, D_DOWN_VID, D_VA_MASK,
-    D_VCS_PER_PORT, D_DEPTH, D_SAF, D_WHOLE_PACKET, D_RR_STRIDE, D_LEN
+    D_SA_RR, D_PKT_DST, D_ROUTE, D_RING, D_RING_COUNT, D_RING_DUE,
+    D_RING_MIRRORS, D_LAND_MARK, D_VC_BASE, D_PORT_BASE, D_RADIX,
+    D_DOWN_VID, D_VA_MASK, D_VC_NODE, D_VCS_PER_PORT, D_DEPTH, D_SAF,
+    D_WHOLE_PACKET, D_RR_STRIDE, D_N_NODES, D_RING_SLOTS, D_RING_CAP,
+    D_LINK_LATENCY, D_LEN
 };
 
 /* Counter slots, rewritten by every call.  C_YIELD is the index in
  * nodes[] of the router the call stopped after (-1: it swept them all);
- * C_RC_START is the event index where that router's RC events begin. */
+ * C_BUSY the number of indices written to busy[];
+ * C_RC_START is the event index where that router's RC events begin;
+ * C_OPENED is 1 when the call put the first flit into its ring slot (the
+ * caller wakes the arrival queue for it); C_ERR_ARG qualifies an error. */
 enum {
     C_TICKED, C_SENDS, C_LINK_FLITS, C_VA_GRANTS, C_SA_LOSSES, C_ERR_VID,
-    C_DISCO_TICKED, C_YIELD, C_RC_START, C_LEN
+    C_DISCO_TICKED, C_YIELD, C_RC_START, C_OPENED, C_ERR_ARG, C_BUSY, C_LEN
 };
+
+/* Arrival ring entries: target vid << 2 | RING_HEAD | RING_TAIL.  Slot s
+ * holds up to ring_cap entries, all due at cycle ring_due[s]; a flit
+ * sent at cycle c lands at c + link_latency, in slot (c + L) % slots.
+ * Entry e of a head flit stashes its packet's mirrors at
+ * ring_mirrors[e * N_MIRRORS] (fabric_state.MIRRORS order). */
+#define RING_HEAD 1
+#define RING_TAIL 2
+#define N_MIRRORS 5
+
+/* Route table entries: out_port << 2 | (vc_class + 1); -1 = not yet
+ * computed (repro.noc.network.Network.route). */
+#define ROUTE_MISS (-1)
 
 /* Event codes: (code, vid, target vid) triples.  EV_ABORT flags a send
  * whose VC's engine job must be aborted first; EV_CANDIDATE names an
- * arbitrator candidate of the router the call stopped after. */
+ * arbitrator candidate of the router the call stopped after; EV_ROUTE a
+ * VC whose route Python computes (a table miss, or any RC of a router
+ * the call stopped after). */
 #define EV_ROUTE 1
 #define EV_SEND 2
 #define EV_HEAD 4
@@ -79,15 +106,21 @@ enum {
 #define ERR_PACKET_TOO_BIG (-2)
 #define ERR_NO_NEIGHBOR (-3)
 #define ERR_ROUTER_TOO_BIG (-4)
+#define ERR_VC_COLLISION (-5)
+#define ERR_RING_OVERFLOW (-6)
+#define ERR_RING_CONFLICT (-7)
 
 typedef struct {
     int64_t *state, *flits_present, *flits_received, *flits_sent, *incoming;
     int64_t *reserved, *out_port, *out_vc_class, *out_vc, *wait_cycles;
     int64_t *credit_debt, *wedged_until, *eject_tokens, *pkt_size, *pkt_vnet;
     int64_t *pkt_prio, *pkt_cand, *engine_vc, *engine_jobs, *engine_cap;
-    int64_t *sa_rr;
+    int64_t *sa_rr, *pkt_dst, *route, *ring, *ring_count, *ring_due;
+    int64_t *ring_mirrors, *land_mark;
     const int64_t *vc_base, *port_base, *radix, *down_vid, *va_mask;
-    int64_t vcs_per_port, depth, saf, whole_packet, rr_stride;
+    const int64_t *vc_node;
+    int64_t vcs_per_port, depth, saf, whole_packet, rr_stride, n_nodes;
+    int64_t ring_slots, ring_cap, link_latency;
 } fabric;
 
 static int64_t *ptr(const int64_t *desc, int slot)
@@ -118,16 +151,28 @@ static void unpack(const int64_t *d, fabric *f)
     f->engine_jobs = ptr(d, D_ENGINE_JOBS);
     f->engine_cap = ptr(d, D_ENGINE_CAP);
     f->sa_rr = ptr(d, D_SA_RR);
+    f->pkt_dst = ptr(d, D_PKT_DST);
+    f->route = ptr(d, D_ROUTE);
+    f->ring = ptr(d, D_RING);
+    f->ring_count = ptr(d, D_RING_COUNT);
+    f->ring_due = ptr(d, D_RING_DUE);
+    f->ring_mirrors = ptr(d, D_RING_MIRRORS);
+    f->land_mark = ptr(d, D_LAND_MARK);
     f->vc_base = ptr(d, D_VC_BASE);
     f->port_base = ptr(d, D_PORT_BASE);
     f->radix = ptr(d, D_RADIX);
     f->down_vid = ptr(d, D_DOWN_VID);
     f->va_mask = ptr(d, D_VA_MASK);
+    f->vc_node = ptr(d, D_VC_NODE);
     f->vcs_per_port = d[D_VCS_PER_PORT];
     f->depth = d[D_DEPTH];
     f->saf = d[D_SAF];
     f->whole_packet = d[D_WHOLE_PACKET];
     f->rr_stride = d[D_RR_STRIDE];
+    f->n_nodes = d[D_N_NODES];
+    f->ring_slots = d[D_RING_SLOTS];
+    f->ring_cap = d[D_RING_CAP];
+    f->link_latency = d[D_LINK_LATENCY];
 }
 
 int64_t repro_sweep_abi(void)
@@ -158,9 +203,54 @@ static void emit(int64_t *events, int64_t *n_ev, int64_t code, int64_t vid,
     (*n_ev)++;
 }
 
+/* The pkt_* mirrors, in fabric_state.MIRRORS order. */
+static void mirrors(const fabric *f, int64_t i, int64_t **out)
+{
+    out[0] = f->pkt_size + i;
+    out[1] = f->pkt_vnet + i;
+    out[2] = f->pkt_dst + i;
+    out[3] = f->pkt_prio + i;
+    out[4] = f->pkt_cand + i;
+}
+
+/* ArrivalQueue.schedule: append a flit VC i sends on a link, due at
+ * now + link_latency; a head stashes i's mirrors. */
+static int64_t schedule(const fabric *f, int64_t now, int64_t i,
+                        int64_t target, int64_t flags, int64_t *counters)
+{
+    int64_t due = now + f->link_latency;
+    int64_t slot = due % f->ring_slots;
+    int64_t n = f->ring_count[slot];
+    if (n == 0) {
+        f->ring_due[slot] = due;
+        counters[C_OPENED] = 1;
+    } else if (f->ring_due[slot] != due) {
+        counters[C_ERR_VID] = slot;
+        counters[C_ERR_ARG] = due;
+        return ERR_RING_CONFLICT;
+    }
+    if (n >= f->ring_cap) {
+        counters[C_ERR_VID] = slot;
+        counters[C_ERR_ARG] = due;
+        return ERR_RING_OVERFLOW;
+    }
+    int64_t entry = slot * f->ring_cap + n;
+    f->ring[entry] = target << 2 | flags;
+    f->ring_count[slot] = n + 1;
+    if (flags & RING_HEAD) {
+        int64_t *src[N_MIRRORS];
+        int64_t *stash = f->ring_mirrors + entry * N_MIRRORS;
+        mirrors(f, i, src);
+        for (int m = 0; m < N_MIRRORS; m++)
+            stash[m] = *src[m];
+    }
+    return 0;
+}
+
 /* Router._send_flit without a tracer; DiscoRouter._on_first_flit_sent
- * becomes EV_ABORT. */
-static int64_t send_flit(const fabric *f, int64_t node, int64_t i,
+ * becomes EV_ABORT.  A link send goes into the arrival ring; only a head
+ * (its packet), a tail (the unbind) or an abort makes an event. */
+static int64_t send_flit(const fabric *f, int64_t node, int64_t i, int64_t now,
                          int64_t *events, int64_t *n_ev, int64_t *counters)
 {
     int64_t code = EV_SEND;
@@ -176,16 +266,21 @@ static int64_t send_flit(const fabric *f, int64_t node, int64_t i,
     int tail = sent == f->pkt_size[i];
     if (tail)
         code |= EV_TAIL;
-    int64_t target = -1;
     if (f->out_port[i] == PORT_LOCAL) {
         f->eject_tokens[node]--;
-        code |= EV_EJECT;
+        emit(events, n_ev, code | EV_EJECT, i, -1);
     } else {
-        target = f->out_vc[i];
+        int64_t target = f->out_vc[i];
         f->incoming[target]++;
         counters[C_LINK_FLITS]++;
+        int64_t err = schedule(f, now, i, target,
+                               (sent == 1 ? RING_HEAD : 0)
+                               | (tail ? RING_TAIL : 0), counters);
+        if (err)
+            return err;
+        if (code != EV_SEND)
+            emit(events, n_ev, code, i, target);
     }
-    emit(events, n_ev, code, i, target);
     if (tail) {
         if (f->flits_present[i] != 0) {
             counters[C_ERR_VID] = i;
@@ -304,7 +399,8 @@ static int64_t switch_allocation(const fabric *f, int64_t node, int64_t now,
         cand->vid[cand->n++] = blocked[k];
     cand->n_sa = cand->n;
     for (int64_t w = 0; w < n_win; w++) {
-        int64_t err = send_flit(f, node, winners[w], events, n_ev, counters);
+        int64_t err = send_flit(f, node, winners[w], now, events, n_ev,
+                                counters);
         if (err)
             return err;
     }
@@ -403,10 +499,6 @@ static int64_t tick(const fabric *f, int64_t node, int64_t now,
     int64_t n_sa = 0, n_va = 0, n_rc = 0;
     candidates cand;
     cand.n = cand.n_sa = 0;
-    if (hi - lo > MAX_ROUTER_VCS) {
-        counters[C_ERR_VID] = lo;
-        return ERR_ROUTER_TOO_BIG;
-    }
     for (int64_t i = lo; i < hi; i++) {
         int64_t s = f->state[i];
         if (s == VC_ACTIVE) {
@@ -431,50 +523,69 @@ static int64_t tick(const fabric *f, int64_t node, int64_t now,
     }
     int post = needs_post_tick(f, node, &cand);
     if (post) {
+        /* DiscoRouter.post_tick runs this router's RC itself, after the
+         * arbitrator has read every out_port. */
         for (int64_t k = 0; k < cand.n_sa; k++)
             emit(events, n_ev, EV_CANDIDATE, cand.vid[k], -1);
         counters[C_RC_START] = *n_ev;
+        for (int64_t k = 0; k < n_rc; k++)
+            emit(events, n_ev, EV_ROUTE, rc[k], -1);
+        return post;
     }
-    /* RC needs Python (routing stays pluggable): after this router's SA
-     * events, exactly where Router.tick runs it. */
-    for (int64_t k = 0; k < n_rc; k++)
-        emit(events, n_ev, EV_ROUTE, rc[k], -1);
+    /* Router._route_computation from the route table; a miss goes to
+     * Python (routing stays pluggable), which fills the entry. */
+    const int64_t *row = f->route + node * f->n_nodes;
+    for (int64_t k = 0; k < n_rc; k++) {
+        int64_t i = rc[k];
+        int64_t packed = row[f->pkt_dst[i]];
+        if (packed == ROUTE_MISS) {
+            emit(events, n_ev, EV_ROUTE, i, -1);
+            continue;
+        }
+        f->out_port[i] = packed >> 2;
+        f->out_vc_class[i] = (packed & 3) - 1;
+        f->state[i] = VC_VA;
+    }
     return post;
 }
 
 /*
- * Sweep the routers listed in nodes[0..n_nodes), in order, each exactly
- * as the kernel's default visit would: skipped when idle, ticked
- * otherwise.  status[k] gets bit 0 when router k ticked and bit 1 when
- * it still has work afterwards (the kernel re-arms it for the next
- * cycle).  Returns the number of event triples written, or a negative
- * ERR_* code with counters[C_ERR_VID] naming the VC.
+ * Sweep the routers listed in nodes[start..n_nodes), in order, each
+ * exactly as the kernel's default visit would: skipped when idle, ticked
+ * otherwise.  busy[] gets, in order, the index k of every router that
+ * ticked and still has work afterwards (the kernel re-arms it for the
+ * next cycle); counters[C_BUSY] counts them.  Returns the number of event
+ * triples written, or a negative ERR_* code with counters[C_ERR_VID]
+ * naming the VC (the router, for ERR_ROUTER_TOO_BIG).
  *
  * The call stops early, with counters[C_YIELD] = k, right after a DISCO
- * router k whose arbitrator or engine may act this cycle.  Its status
- * has bit 0 only: the caller replays the events, runs post_tick, takes
- * has_work itself and resumes at nodes + k + 1.  Stopping is required,
- * not a convenience: an engine completion changes flits_present, which
- * later routers read as credit in the same cycle.
+ * router k whose arbitrator or engine may act this cycle; k is not in
+ * busy[].  The caller replays the events, runs post_tick, takes has_work
+ * itself and resumes at start = k + 1.  Stopping is required, not a
+ * convenience: an engine completion changes flits_present, which later
+ * routers read as credit in the same cycle.
  */
 int64_t repro_sweep(const int64_t *desc, int64_t now, const int64_t *nodes,
-                    int64_t n_nodes, int64_t *status, int64_t *events,
-                    int64_t *counters)
+                    int64_t start, int64_t n_nodes, int64_t *busy,
+                    int64_t *events, int64_t *counters)
 {
     fabric f;
     unpack(desc, &f);
     for (int k = 0; k < C_LEN; k++)
         counters[k] = 0;
     counters[C_YIELD] = -1;
-    int64_t n_ev = 0;
-    for (int64_t k = 0; k < n_nodes; k++) {
+    int64_t n_ev = 0, n_busy = 0;
+    for (int64_t k = start; k < n_nodes; k++) {
         int64_t node = nodes[k];
         int64_t lo = f.vc_base[node];
         int64_t hi = lo + f.radix[node] * f.vcs_per_port;
-        if (!has_work(&f, node, lo, hi)) {
-            status[k] = 0;
-            continue;
+        if (hi - lo > MAX_ROUTER_VCS) {
+            counters[C_ERR_VID] = node;
+            counters[C_ERR_ARG] = hi - lo;
+            return ERR_ROUTER_TOO_BIG;
         }
+        if (!has_work(&f, node, lo, hi))
+            continue;
         counters[C_TICKED]++;
         if (f.engine_cap[node] > 0)
             counters[C_DISCO_TICKED]++;
@@ -482,11 +593,68 @@ int64_t repro_sweep(const int64_t *desc, int64_t now, const int64_t *nodes,
         if (post < 0)
             return post;
         if (post) {
-            status[k] = 1;
             counters[C_YIELD] = k;
-            return n_ev;
+            break;
         }
-        status[k] = 1 | (has_work(&f, node, lo, hi) ? 2 : 0);
+        if (has_work(&f, node, lo, hi))
+            busy[n_busy++] = k;
     }
+    counters[C_BUSY] = n_busy;
     return n_ev;
+}
+
+/*
+ * Land ring slot `slot`: InputVC.accept_flit's array updates for every
+ * flit in it, in arrival order (a head resets the VC to VC_ROUTING and
+ * takes its stashed mirrors; the caller binds its packet).  Writes each
+ * distinct target node to nodes[], in first-arrival order, and empties
+ * the slot.  Returns the number of nodes, or ERR_VC_COLLISION with
+ * counters[C_ERR_VID] naming the VC a head landed on while it was still
+ * bound.
+ */
+int64_t repro_land(const int64_t *desc, int64_t slot, int64_t *nodes,
+                   int64_t *counters)
+{
+    fabric f;
+    unpack(desc, &f);
+    const int64_t *entry = f.ring + slot * f.ring_cap;
+    int64_t n = f.ring_count[slot];
+    int64_t n_nodes = 0;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t i = entry[k] >> 2;
+        if (f.incoming[i] > 0)
+            f.incoming[i]--;
+        if (entry[k] & RING_HEAD) {
+            if (f.state[i] != VC_IDLE) {
+                counters[C_ERR_VID] = i;
+                n = ERR_VC_COLLISION;
+                break;
+            }
+            f.reserved[i] = 0;
+            f.state[i] = VC_ROUTING;
+            f.flits_received[i] = 0;
+            f.flits_sent[i] = 0;
+            f.wait_cycles[i] = 0;
+            int64_t *dst[N_MIRRORS];
+            const int64_t *stash =
+                f.ring_mirrors + (slot * f.ring_cap + k) * N_MIRRORS;
+            mirrors(&f, i, dst);
+            for (int m = 0; m < N_MIRRORS; m++)
+                *dst[m] = stash[m];
+        }
+        f.flits_present[i]++;
+        f.flits_received[i]++;
+        int64_t node = f.vc_node[i];
+        if (!f.land_mark[node]) {
+            f.land_mark[node] = 1;
+            nodes[n_nodes++] = node;
+        }
+    }
+    for (int64_t k = 0; k < n_nodes; k++)
+        f.land_mark[nodes[k]] = 0;
+    if (n < 0)
+        return n;
+    f.ring_count[slot] = 0;
+    f.ring_due[slot] = -1;
+    return n_nodes;
 }

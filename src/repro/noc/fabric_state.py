@@ -31,6 +31,7 @@ Encodings (all fields are signed 64-bit):
 ``eject_tokens``    per-*node* ejection flow-control credits
 ``pkt_size``        mirror of the bound packet's ``size_flits``
 ``pkt_vnet``        mirror of the bound packet's vnet
+``pkt_dst``         mirror of the bound packet's destination node
 ``pkt_prio``        mirror of ``network.packet_priority(packet)``
 ``pkt_cand``        mirror of the DISCO arbitrator's packet filter
                     (``CAND_NONE`` / ``CAND_COMPRESS`` / ``CAND_DECOMPRESS``)
@@ -42,9 +43,10 @@ Encodings (all fields are signed 64-bit):
 ==================  =====================================================
 
 The ``pkt_*`` mirrors are written when a head flit binds a packet
-(:meth:`FabricState.mirror_packet`) and again by the DISCO engine when
-a job completion changes the packet, so code that cannot see the
-packet objects (the native sweep) can read them.  ``engine_vc`` and
+(:meth:`FabricState.mirror_packet`; on the native path, copied from the
+stash the arrival ring took from the sending VC) and again by the DISCO
+engine when a job completion changes the packet, so code that cannot
+see the packet objects (the native sweep) can read them.  ``engine_vc`` and
 ``engine_jobs`` are written by the engine whenever a job starts,
 commits, aborts or ends.  All of them are derived state: never
 checkpointed, rebuilt from the live objects on restore.
@@ -57,7 +59,7 @@ grow mid-run), which is what makes binding to their addresses safe: an
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: Sentinel encodings for the Optional fields.
 NO_PORT = -1
@@ -93,6 +95,10 @@ CAND_DECOMPRESS = 2
 ENGINE_IDLE = 0
 ENGINE_ABORTABLE = 1
 ENGINE_LOCKED = 2
+
+#: The per-VC mirrors of the bound packet, in ``mirror_values`` order
+#: (the order the arrival ring stashes a head flit's mirrors in).
+MIRRORS = ("pkt_size", "pkt_vnet", "pkt_dst", "pkt_prio", "pkt_cand")
 
 #: Fields initialised to -1 rather than 0.
 _MINUS_ONE_FIELDS = frozenset(("out_port", "out_vc_class", "out_vc", "wedged_until"))
@@ -148,6 +154,7 @@ class FabricState:
         #: Bound-packet and engine mirrors (see the module docstring).
         self.pkt_size = array("q", zeros)
         self.pkt_vnet = array("q", zeros)
+        self.pkt_dst = array("q", zeros)
         self.pkt_prio = array("q", zeros)
         self.pkt_cand = array("q", zeros)
         self.engine_vc = array("q", zeros)
@@ -191,13 +198,26 @@ class FabricState:
         """Buffered + in-flight flits across every VC (telemetry gauge)."""
         return sum(self.flits_present) + sum(self.incoming)
 
+    def mirror_values(self, packet) -> Tuple[int, int, int, int, int]:
+        """The ``pkt_*`` mirror values of ``packet``, in ``MIRRORS`` order."""
+        candidate = self.candidate_filter
+        return (
+            packet.size_flits,
+            packet.ptype.vnet,
+            packet.dst,
+            self.priority(packet),
+            0 if candidate is None else candidate(packet),
+        )
+
     def mirror_packet(self, vid: int, packet) -> None:
         """Write the ``pkt_*`` mirrors of the packet bound to ``vid``."""
-        self.pkt_size[vid] = packet.size_flits
-        self.pkt_vnet[vid] = packet.ptype.vnet
-        self.pkt_prio[vid] = self.priority(packet)
-        candidate = self.candidate_filter
-        self.pkt_cand[vid] = 0 if candidate is None else candidate(packet)
+        (
+            self.pkt_size[vid],
+            self.pkt_vnet[vid],
+            self.pkt_dst[vid],
+            self.pkt_prio[vid],
+            self.pkt_cand[vid],
+        ) = self.mirror_values(packet)
 
     def refresh_mirrors(self) -> None:
         """Rebuild the ``pkt_*`` mirrors from the bound packets (after a
@@ -205,10 +225,8 @@ class FabricState:
         checkpointed).  The engine mirrors are the engines' own."""
         for vid, packet in enumerate(self.packet):
             if packet is None:
-                self.pkt_size[vid] = 0
-                self.pkt_vnet[vid] = 0
-                self.pkt_prio[vid] = 0
-                self.pkt_cand[vid] = 0
+                for name in MIRRORS:
+                    getattr(self, name)[vid] = 0
             else:
                 self.mirror_packet(vid, packet)
 

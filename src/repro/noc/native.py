@@ -1,40 +1,61 @@
 """The native router sweep: the plain and DISCO routers' pipeline in C.
 
 ``_sweep.c`` (plain C99, no Python headers) runs switch allocation,
-switch traversal and VC allocation of every :class:`Router` and
-:class:`~repro.core.disco_router.DiscoRouter` over the fabric's
-struct-of-arrays plane (:mod:`repro.noc.fabric_state`).  This module
-compiles it once with the local C compiler, loads it with :mod:`ctypes`
-and installs :class:`NativeSweep` as the event kernel's ``net.routers``
-phase driver.
+switch traversal, VC allocation and route computation of every
+:class:`Router` and :class:`~repro.core.disco_router.DiscoRouter` over
+the fabric's struct-of-arrays plane (:mod:`repro.noc.fabric_state`),
+and lands link flits.  This module compiles it once with the local C
+compiler, loads it with :mod:`ctypes` and installs :class:`NativeSweep`
+as the event kernel's ``net.routers`` phase driver; the arrival queue
+calls :meth:`NativeSweep.land` in ``net.arrivals``.
 
 Split of the work, per cycle:
 
-- **C**, one call per run of consecutive natively swept routers, in
-  node order: partition each router's VCs by stage; SA with the engine
-  lock, wedge, SAF, credit and eject-token checks, priority-then-round-
-  robin arbitration on the ``pkt_prio`` mirror and one winner per input
-  port; ST's array updates, tail release included; VA against the
-  neighbour VC tables.  Each router is skipped or ticked exactly as the
-  kernel's default visit would, so wake counts match the Python path.
-- **Python**, replaying the ordered event buffer the call wrote: link
-  arrivals, ejections (``_eject_spent``, ``complete_ejection``),
-  unbinding released VCs, engine aborts, route computation through
-  ``network.route`` (routing stays pluggable), and the stats deltas.
+- **C, routers**, one call per run of consecutive natively swept
+  routers, in node order: partition each router's VCs by stage; SA with
+  the engine lock, wedge, SAF, credit and eject-token checks,
+  priority-then-round-robin arbitration on the ``pkt_prio`` mirror and
+  one winner per input port; ST's array updates, tail release included;
+  VA against the neighbour VC tables; RC from the network's route table
+  (``Network.route_table``, one packed ``out_port << 2 | (vc_class + 1)``
+  per (node, destination), read through the ``pkt_dst`` mirror).  Each
+  router is skipped or ticked exactly as the kernel's default visit
+  would, so wake counts match the Python path.
+- **C, the arrival ring**: a link send appends ``target vid << 2 |
+  head | tail`` to slot ``(cycle + L) % (L + 1)`` of the
+  :class:`~repro.noc.network.ArrivalQueue` ring (the very arrays the
+  Python ``_send_flit`` writes through ``ArrivalQueue.schedule``).  A
+  send that puts the first flit into its slot has the queue woken for
+  ``cycle + L``, as ``schedule`` does.  At ``cycle + L``,
+  ``repro_land`` does every flit's buffer write (a head resets its VC to
+  routing and takes the ``pkt_*`` mirrors the ring stashed from the
+  sending VC), checks for VC collisions and lists the distinct target
+  routers in first-arrival order.
+- **Python**, replaying the ordered event buffer the router call wrote:
+  the packet of each head flit sent on a link (into the ring's head
+  list), ejections (``_eject_spent``, ``complete_ejection``), unbinding
+  of released VCs (tails), engine aborts, and the route-table misses
+  (``network.route`` computes the decision and fills the entry, so
+  routing stays pluggable); a body flit sent on a link and a route-table
+  hit produce no event.  After a landing: binding each head's packet
+  (``fs.packet``, ``_bind_vc``, ``hops_traversed``), ``buffer_writes``
+  and one wake per distinct target router.
 - **Post-work**: when a DISCO router's arbitrator or engine may act this
   cycle (the engine holds a job, or an SA/VA loser is a compression
   candidate the engine has room for), the call stops right after that
   router.  Python replays the events up to the router's RC events, runs
   ``DiscoRouter.post_tick`` (arbitrator, RC, arbitrator over VA-blocked
   VCs, engine cycle — the very code its Python ``tick`` ends with), reads
-  ``has_work`` and resumes C at the next router.  Engine completions
-  change ``flits_present``, which later routers read as credit in the
-  same cycle, so the stop cannot be deferred.
+  ``has_work`` and resumes C at the next router.  Such a router's RC is
+  never resolved in C: the arbitrator must read ``out_port`` before RC,
+  and C decides the stop before RC.  Engine completions change
+  ``flits_present``, which later routers read as credit in the same
+  cycle, so the stop cannot be deferred.
 
 Side effects keep their order because a sweep never acts on another
-router's replayed effects within the same cycle: arrivals land a link
-latency later, ejection deliveries only queue new packets at the NIs,
-and route results are read by the next cycle's VA.
+router's effects within the same cycle: arrivals land a link latency
+later, ejection deliveries only queue new packets at the NIs, and route
+results are read by the next cycle's VA.
 
 Eligibility is decided on every sweep, since faults, tracers and
 priority policies are attached after the network is built:
@@ -42,7 +63,9 @@ priority policies are attached after the network is built:
 - the whole sweep runs in Python while a tracer, fault controller,
   reliability layer or invariant monitor is attached, ``can_eject`` is
   replaced, or ``packet_priority`` is not a packet-state policy
-  (:func:`repro.noc.network.packet_state_priority`);
+  (:func:`repro.noc.network.packet_state_priority`); so does every
+  landing (``ArrivalQueue._land``), flits already in the ring included,
+  so ``on_link_flit`` and ``on_hop`` see every flit;
 - a router whose type is neither exactly :class:`Router` nor exactly
   ``DiscoRouter`` is ticked in Python after the pending native run is
   flushed.
@@ -84,7 +107,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SOURCE = Path(__file__).with_name("_sweep.c")
 CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
 #: Must equal ``SWEEP_ABI`` in ``_sweep.c``.
-ABI = 2
+ABI = 3
 #: ``MAX_ROUTER_VCS`` in ``_sweep.c``; VC and port masks are 64-bit.
 MAX_ROUTER_VCS = 512
 MAX_MASK_BITS = 64
@@ -97,10 +120,15 @@ EV_EJECT = 16
 EV_ABORT = 32
 EV_CANDIDATE = 64
 (C_TICKED, C_SENDS, C_LINK_FLITS, C_VA_GRANTS, C_SA_LOSSES, C_ERR_VID,
- C_DISCO_TICKED, C_YIELD, C_RC_START, C_LEN) = range(10)
+ C_DISCO_TICKED, C_YIELD, C_RC_START, C_OPENED, C_ERR_ARG, C_BUSY,
+ C_LEN) = range(13)
 ERR_TAIL_BUFFERED = -1
 ERR_PACKET_TOO_BIG = -2
 ERR_NO_NEIGHBOR = -3
+ERR_ROUTER_TOO_BIG = -4
+ERR_VC_COLLISION = -5
+ERR_RING_OVERFLOW = -6
+ERR_RING_CONFLICT = -7
 
 _LOG = get_logger("noc.native")
 
@@ -183,9 +211,14 @@ def _load() -> Tuple[Optional[ctypes.CDLL], str]:
         sweep = lib.repro_sweep
         sweep.argtypes = [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         ]
         sweep.restype = ctypes.c_int64
+        land = lib.repro_land
+        land.argtypes = [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+        ]
+        land.restype = ctypes.c_int64
     except (OSError, RuntimeError, AttributeError) as exc:
         return None, f"cannot build or load {SOURCE.name}: {exc}"
     return lib, str(target)
@@ -236,21 +269,23 @@ def install(network: "Network", enabled: bool = True) -> Optional["NativeSweep"]
     if lib is None:
         notes["noc.sweep"] = f"python (native sweep unavailable: {note})"
         return None
-    driver = NativeSweep(network, lib.repro_sweep, f"native ({note})")
+    driver = NativeSweep(network, lib, f"native ({note})")
     kernel.set_phase_driver("net.routers", driver)
     return driver
 
 
 class NativeSweep:
-    """``net.routers`` phase driver running plain routers through C."""
+    """``net.routers`` phase driver running plain and DISCO routers
+    through C, and the native landing of the arrival ring."""
 
     #: Per-component timing books the sweep under the plain router's own
     #: label, so profiles read the same on either path.
     label = "Router"
 
-    def __init__(self, network: "Network", sweep, note: str):
+    def __init__(self, network: "Network", lib, note: str):
         self.network = network
-        self._sweep = sweep
+        self._sweep = lib.repro_sweep
+        self._land = lib.repro_land
         self._note = note
         network.kernel.annotations["noc.sweep"] = note
         fs = network.fabric
@@ -290,12 +325,17 @@ class NativeSweep:
         whole = config.flow_control in (
             FlowControl.VIRTUAL_CUT_THROUGH, FlowControl.STORE_AND_FORWARD,
         )
+        queue = network.arrival_queue
+        #: Per-node scratch marks of ``repro_land`` (all zero between calls).
+        self._land_mark = array("q", bytes(8 * n_nodes))
         arrays = [
             fs.state, fs.flits_present, fs.flits_received, fs.flits_sent,
             fs.incoming, fs.reserved, fs.out_port, fs.out_vc_class, fs.out_vc,
             fs.wait_cycles, fs.credit_debt, fs.wedged_until, fs.eject_tokens,
             fs.pkt_size, fs.pkt_vnet, fs.pkt_prio, fs.pkt_cand, fs.engine_vc,
-            fs.engine_jobs, fs.engine_cap, fs.sa_rr, *self._tables,
+            fs.engine_jobs, fs.engine_cap, fs.sa_rr, fs.pkt_dst,
+            network.route_table, queue.ring, queue.count, queue.due,
+            queue.mirrors, self._land_mark, *self._tables, fs.vc_node,
         ]
         self._desc = array("q", [_addr(a) for a in arrays] + [
             fs.vcs_per_port,
@@ -303,17 +343,25 @@ class NativeSweep:
             int(config.flow_control is FlowControl.STORE_AND_FORWARD),
             int(whole),
             max(8, fs.vcs_per_port),
+            n_nodes,
+            queue.slots,
+            queue.capacity,
+            config.link_latency,
         ])
         self._nodes = array("q", bytes(8 * n_nodes))
-        self._status = array("q", bytes(8 * n_nodes))
+        self._busy = array("q", bytes(8 * n_nodes))
+        #: The distinct target nodes of one landed slot (``repro_land``).
+        self._landed = array("q", bytes(8 * n_nodes))
         # At most one event per VC per cycle (a VC is in one stage).
         self._events = array("q", bytes(8 * 3 * fs.n_vcs))
         self._counters = array("q", bytes(8 * C_LEN))
         self._args = (
-            _addr(self._desc), _addr(self._nodes), _addr(self._status),
+            _addr(self._desc), _addr(self._nodes), _addr(self._busy),
             _addr(self._events), _addr(self._counters),
         )
+        self._landed_at = _addr(self._landed)
         self._reason: Optional[str] = None
+        self._base_eject = _base_can_eject()
         # Import cycle guard: the DISCO layer builds on this package.
         from repro.core.disco_router import DiscoRouter
 
@@ -321,11 +369,19 @@ class NativeSweep:
         #: Router types never change, so an all-native fabric skips the
         #: per-router split on every sweep.
         self._in_c = [type(r) in (Router, DiscoRouter) for r in network.routers]
+        #: Per node: the router's kernel handle, for batched wakes.
+        self._router_handles = [
+            network.kernel.handle(router) for router in network.routers
+        ]
         self._all_in_c = all(self._in_c)
         #: DISCO router ticks swept in C, and the post-work visits among
         #: them that returned to Python (deterministic work counters).
         self.disco_ticks = 0
         self.post_ticks = 0
+        #: Link flits landed in C and through the Python path (while the
+        #: sweep is not eligible) by the arrival queue.
+        self.native_landings = 0
+        self.python_landings = 0
 
     # -- eligibility ---------------------------------------------------------
     def python_reason(self) -> Optional[str]:
@@ -339,9 +395,9 @@ class NativeSweep:
             return "reliability attached"
         if network.monitor is not None:
             return "monitor attached"
-        if getattr(network.can_eject, "__func__", None) is not _base_can_eject():
+        if getattr(network.can_eject, "__func__", None) is not self._base_eject:
             return "can_eject replaced"
-        if not getattr(network.packet_priority, "packet_state_priority", False):
+        if not getattr(network.fabric.priority, "packet_state_priority", False):
             return "packet_priority is not a packet-state policy"
         return None
 
@@ -386,43 +442,46 @@ class NativeSweep:
         nodes = self._nodes
         for k, reg in enumerate(run):
             nodes[k] = reg.component.node
-        desc, nodes_at, status_at, events_at, counters_at = self._args
-        status = self._status
+        desc, nodes_at, busy_at, events_at, counters_at = self._args
         counters = self._counters
-        events = self._events
-        views = self.network.fabric.views
         n = len(run)
         start = ticked = 0
         while True:
             count = self._sweep(
-                desc, cycle, nodes_at + 8 * start, n - start,
-                status_at + 8 * start, events_at, counters_at,
+                desc, cycle, nodes_at, start, n, busy_at, events_at,
+                counters_at,
             )
             if count < 0:
                 self._raise(count)
+            if counters[C_OPENED]:
+                network = self.network
+                network.kernel.wake(
+                    network.arrival_queue, cycle + network.config.link_latency
+                )
             ticked += counters[C_TICKED]
             self._book()
+            n_busy = counters[C_BUSY]
+            if n_busy:
+                busy.extend(map(run.__getitem__, self._busy[:n_busy]))
             stop = counters[C_YIELD]
-            end = n if stop < 0 else start + stop
-            for k in range(start, end):
-                if status[k] & 2:
-                    busy.append(run[k])
             if stop < 0:
                 if count:
                     self._replay(cycle, count)
                 return ticked
-            # DISCO post-work for run[end]: its SA events (candidates
+            # DISCO post-work for run[stop]: its SA events (candidates
             # last), the arbitrator, its RC, the rest of post_tick.
             split = counters[C_RC_START]
             candidates = self._replay(cycle, split)
+            events = self._events
+            views = self.network.fabric.views
             routed = [views[events[j]] for j in range(3 * split + 1, 3 * count, 3)]
-            reg = run[end]
+            reg = run[stop]
             router = reg.component
             router.post_tick(candidates, routed)
             self.post_ticks += 1
             if router.has_work():
                 busy.append(reg)
-            start = end + 1
+            start = stop + 1
             if start == n:
                 return ticked
 
@@ -450,15 +509,13 @@ class NativeSweep:
         views = fs.views
         vc_node = fs.vc_node
         events = self._events
-        due = cycle + network.config.link_latency
-        arrivals = None
+        heads = None
         candidates = []
         for j in range(0, 3 * count, 3):
             code = events[j]
             i = events[j + 1]
-            packet = packets[i]
             if code == EV_ROUTE:
-                out_port, vc_class = network.route(vc_node[i], packet.dst)
+                out_port, vc_class = network.route(vc_node[i], fs.pkt_dst[i])
                 fs.out_port[i] = out_port
                 fs.out_vc_class[i] = NO_CLASS if vc_class is None else vc_class
                 fs.state[i] = VC_VA
@@ -475,14 +532,13 @@ class NativeSweep:
                 network._eject_spent.append(node)
                 network.stats.flits_ejected += 1
                 if tail:
-                    network.nis[node].complete_ejection(packet)
-            else:
-                if arrivals is None:
-                    arrivals = network.arrival_queue.batch(due)
-                arrivals.append(
-                    (views[events[j + 2]], packet,
-                     bool(code & EV_HEAD), bool(tail))
-                )
+                    network.nis[node].complete_ejection(packets[i])
+            elif code & EV_HEAD:
+                if heads is None:
+                    queue = network.arrival_queue
+                    due = cycle + network.config.link_latency
+                    heads = queue.heads[due % queue.slots]
+                heads.append((events[j + 2], packets[i]))
             if tail:
                 vc = views[i]
                 vc.router._bound.remove(vc)
@@ -490,11 +546,39 @@ class NativeSweep:
                 fs.engine_job[i] = None
         return candidates
 
+    def land(self, slot: int, count: int) -> None:
+        """Land arrival-ring ``slot`` (``count`` flits) in C; bind each
+        head's packet and wake each target router once."""
+        network = self.network
+        desc, _nodes, _busy, _events, counters_at = self._args
+        distinct = self._land(desc, slot, self._landed_at, counters_at)
+        if distinct < 0:
+            self._raise(distinct)
+        network.stats.buffer_writes += count
+        self.native_landings += count
+        queue = network.arrival_queue
+        heads = queue.heads[slot]
+        if heads:
+            queue.heads[slot] = []
+            fs = network.fabric
+            packets = fs.packet
+            views = fs.views
+            for vid, packet in heads:
+                packets[vid] = packet
+                vc = views[vid]
+                vc.router._bind_vc(vc)
+                packet.hops_traversed += 1
+        network.kernel.wake_handles(
+            map(self._router_handles.__getitem__, self._landed[:distinct])
+        )
+
     def _raise(self, code: int) -> None:
         """The Python path's error for a failed C call."""
         fs = self.network.fabric
         config = self.network.config
+        queue = self.network.arrival_queue
         i = self._counters[C_ERR_VID]
+        arg = self._counters[C_ERR_ARG]
         if code == ERR_TAIL_BUFFERED:
             raise RuntimeError(
                 f"tail sent with {fs.flits_present[i]} flits still buffered"
@@ -509,6 +593,20 @@ class NativeSweep:
                 f"route at router {fs.vc_node[i]} leaves the fabric "
                 f"(output port {fs.out_port[i]})"
             )
+        if code == ERR_ROUTER_TOO_BIG:
+            raise RuntimeError(
+                f"router {i} has {arg} VCs; the native sweep handles at "
+                f"most {MAX_ROUTER_VCS}"
+            )
+        if code == ERR_VC_COLLISION:
+            raise RuntimeError(
+                f"VC collision at router {fs.vc_node[i]} "
+                f"port {fs.vc_port[i]} vc {fs.vc_index[i]}"
+            )
+        if code == ERR_RING_OVERFLOW:
+            raise RuntimeError(queue.overflow_message(i, arg))
+        if code == ERR_RING_CONFLICT:
+            raise RuntimeError(queue.conflict_message(i, arg))
         raise RuntimeError(f"native router sweep failed with code {code}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

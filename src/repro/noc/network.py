@@ -32,12 +32,12 @@ A ``router_factory`` lets the DISCO scheme replace the baseline router with
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from array import array
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.noc import native
 from repro.noc.config import NocConfig
-from repro.noc.fabric_state import FabricState
+from repro.noc.fabric_state import MIRRORS, FabricState
 from repro.noc.flit import Packet
 from repro.noc.interface import NetworkInterface
 from repro.noc.router import InputVC, Router
@@ -93,21 +93,55 @@ def _copy_fields(obj) -> dict:
     }
 
 
-class ArrivalQueue:
-    """Link arrivals scheduled for future cycles (a kernel component).
+#: Arrival-ring entry flags: an entry is ``target vid << 2 | flags``
+#: (``_sweep.c`` writes the same encoding).
+RING_HEAD = 1
+RING_TAIL = 2
 
-    Idleness contract: a min-heap over the due cycles backs ``next_wake``,
-    so the queue sleeps between batches; ``schedule`` wakes it for the new
-    due cycle.  When a batch lands, the target routers are woken in the
-    same cycle (``net.routers`` sweeps after ``net.arrivals``).
+
+class ArrivalQueue:
+    """Link flits in flight toward their target VCs (a kernel component).
+
+    One array-backed ring, written by both router sweeps.  Link latency
+    is one config constant ``L``, so a flit sent at cycle ``c`` lands at
+    ``c + L`` and ``L + 1`` slots suffice: slot ``due % (L + 1)`` holds
+    the flits due at ``due[slot]``, in send order, as ``target vid << 2 |
+    RING_HEAD | RING_TAIL`` entries of ``ring``; ``count[slot]`` of its
+    ``capacity`` entries (the fabric's output-port count: a router sends
+    at most one flit per output port per cycle) are in use.
+    ``heads[slot]`` lists the ``(target vid, packet)`` of its head flits,
+    and ``mirrors`` stashes each head entry's packet mirrors
+    (``fabric_state.MIRRORS``), which a native landing copies into the
+    target VC.  A body or tail flit's packet is the one bound to its
+    target VC: its head landed earlier on the same FIFO link.
+
+    Idleness contract: ``next_wake`` is the earliest due cycle of a
+    non-empty slot, and the queue is woken for that cycle exactly when
+    the slot's first flit is scheduled (by ``schedule`` or by the native
+    sweep).  Landing wakes every target router once, in the same cycle
+    (``net.routers`` sweeps after ``net.arrivals``).  While the native
+    sweep may run, a slot lands in C (:meth:`NativeSweep.land`);
+    otherwise :meth:`_land` calls ``InputVC.accept_flit`` flit by flit,
+    so tracers and fault hooks see every flit.
     """
 
-    __slots__ = ("network", "_due", "_due_heap")
+    __slots__ = (
+        "network", "slots", "capacity", "ring", "count", "due", "heads",
+        "mirrors",
+    )
 
     def __init__(self, network: "Network"):
         self.network = network
-        self._due: Dict[int, List[Tuple[InputVC, Packet, bool, bool]]] = {}
-        self._due_heap: List[int] = []
+        self.slots = network.config.link_latency + 1
+        self.capacity = len(network.fabric.sa_rr)
+        # Fixed-size arrays: the native sweep binds to their addresses.
+        self.ring = array("q", bytes(8 * self.slots * self.capacity))
+        self.count = array("q", bytes(8 * self.slots))
+        self.due = array("q", [-1]) * self.slots
+        self.mirrors = array("q", bytes(8 * len(self.ring) * len(MIRRORS)))
+        self.heads: List[List[Tuple[int, Packet]]] = [
+            [] for _ in range(self.slots)
+        ]
 
     def schedule(
         self,
@@ -117,33 +151,101 @@ class ArrivalQueue:
         is_head: bool,
         is_tail: bool,
     ) -> None:
-        self.batch(due).append((target_vc, packet, is_head, is_tail))
-
-    def batch(self, due: int) -> List[Tuple[InputVC, Packet, bool, bool]]:
-        """The arrival list for ``due`` (created, and the queue woken for
-        it, on first use); callers append ``(vc, packet, head, tail)``."""
-        batch = self._due.get(due)
-        if batch is None:
-            batch = self._due[due] = []
-            heapq.heappush(self._due_heap, due)
+        flags = (RING_HEAD if is_head else 0) | (RING_TAIL if is_tail else 0)
+        if self._put(due, target_vc.vid, packet, flags):
             self.network.kernel.wake(self, due)
-        return batch
+
+    def _put(self, due: int, vid: int, packet: Packet, flags: int) -> bool:
+        """Append one flit; True when it is the first of its slot."""
+        slot = due % self.slots
+        n = self.count[slot]
+        if n and self.due[slot] != due:
+            raise RuntimeError(self.conflict_message(slot, due))
+        if n >= self.capacity:
+            raise RuntimeError(self.overflow_message(slot, due))
+        entry = slot * self.capacity + n
+        self.ring[entry] = vid << 2 | flags
+        self.count[slot] = n + 1
+        if flags & RING_HEAD:
+            self.heads[slot].append((vid, packet))
+            mirrors = self.mirrors
+            at = entry * len(MIRRORS)
+            for value in self.network.fabric.mirror_values(packet):
+                mirrors[at] = value
+                at += 1
+        if n:
+            return False
+        self.due[slot] = due
+        return True
+
+    def overflow_message(self, slot: int, due: int) -> str:
+        return (
+            f"arrival ring slot {slot} is full: a flit due at cycle {due} "
+            f"exceeds its capacity of {self.capacity} flits"
+        )
+
+    def conflict_message(self, slot: int, due: int) -> str:
+        return (
+            f"arrival ring slot {slot} holds flits due at cycle "
+            f"{self.due[slot]}; a flit due at cycle {due} cannot join them "
+            f"(link latency {self.slots - 1})"
+        )
+
+    def _clear(self) -> None:
+        for slot in range(self.slots):
+            self.count[slot] = 0
+            self.due[slot] = -1
+            self.heads[slot] = []
+
+    def _flits(self) -> Iterator[Tuple[int, int, Packet, int]]:
+        """Every flit in flight as ``(due, target vid, packet, flags)``,
+        in landing order."""
+        packets = self.network.fabric.packet
+        in_flight: Dict[int, Packet] = {}  # target vid -> head in flight
+        count = self.count
+        for slot in sorted(
+            (s for s in range(self.slots) if count[s]),
+            key=self.due.__getitem__,
+        ):
+            due = self.due[slot]
+            heads = iter(self.heads[slot])
+            base = slot * self.capacity
+            for entry in self.ring[base:base + count[slot]]:
+                vid = entry >> 2
+                if entry & RING_HEAD:
+                    packet = in_flight[vid] = next(heads)[1]
+                else:
+                    packet = in_flight.get(vid)
+                    if packet is None:
+                        packet = packets[vid]
+                yield due, vid, packet, entry & 3
 
     def has_work(self) -> bool:
-        return bool(self._due)
+        return any(self.count)
 
     def pending(self) -> int:
         """Total flits still in flight on links."""
-        return sum(len(batch) for batch in self._due.values())
+        return sum(self.count)
 
     def in_flight_counts(self) -> Dict[InputVC, int]:
         """In-flight flit count per target VC (the invariant monitor
         checks these against each VC's ``incoming`` credit view)."""
+        views = self.network.fabric.views
         counts: Dict[InputVC, int] = {}
-        for batch in self._due.values():
-            for target_vc, _packet, _head, _tail in batch:
-                counts[target_vc] = counts.get(target_vc, 0) + 1
+        for _due, vid, _packet, _flags in self._flits():
+            vc = views[vid]
+            counts[vc] = counts.get(vc, 0) + 1
         return counts
+
+    def _refill(self, flits: List[Tuple[int, int, Packet, int]]) -> None:
+        self._clear()
+        for due, vid, packet, flags in flits:
+            self._put(due, vid, packet, flags)
+
+    def remirror(self) -> None:
+        """Restash the head flits' mirrors (after a priority-policy
+        change)."""
+        self._refill(list(self._flits()))
 
     def purge_packet(self, packet: Packet) -> int:
         """Remove every in-flight flit of ``packet`` (squash support).
@@ -151,53 +253,47 @@ class ArrivalQueue:
         Decrements the target VCs' ``incoming`` credits so flow control
         stays conserved; returns the flit count removed.
         """
+        kept = []
+        incoming = self.network.fabric.incoming
         removed = 0
-        for due_cycle in list(self._due):
-            batch = self._due[due_cycle]
-            kept = []
-            for item in batch:
-                target_vc, arriving, _is_head, _is_tail = item
-                if arriving is packet:
-                    if target_vc.incoming > 0:
-                        target_vc.incoming -= 1
-                    removed += 1
-                else:
-                    kept.append(item)
-            if len(kept) != len(batch):
-                if kept:
-                    self._due[due_cycle] = kept
-                else:
-                    del self._due[due_cycle]
+        for flit in list(self._flits()):
+            vid = flit[1]
+            if flit[2] is packet:
+                if incoming[vid] > 0:
+                    incoming[vid] -= 1
+                removed += 1
+            else:
+                kept.append(flit)
+        self._refill(kept)
         return removed
 
     def next_wake(self, cycle: int) -> Optional[int]:
-        heap = self._due_heap
-        due = self._due
-        while heap and heap[0] not in due:
-            heapq.heappop(heap)  # batch already delivered (or purged empty)
-        return heap[0] if heap else None
+        earliest = None
+        for slot in range(self.slots):
+            if self.count[slot]:
+                due = self.due[slot]
+                if earliest is None or due < earliest:
+                    earliest = due
+        return earliest
 
     # -- checkpointing --------------------------------------------------------
     def state_dict(self) -> dict:
-        """In-flight link flits, target VCs path-encoded.  The heap is
-        captured verbatim (stale entries included) so a restored
-        ``next_wake`` pops exactly what the original would have."""
-        return {
-            "version": 1,
-            "due": {
-                cycle: [
-                    (
-                        (vc.router.node, vc.port, vc.vc_index),
-                        packet,
-                        is_head,
-                        is_tail,
-                    )
-                    for vc, packet, is_head, is_tail in batch
-                ]
-                for cycle, batch in self._due.items()
-            },
-            "due_heap": list(self._due_heap),
-        }
+        """In-flight link flits per due cycle, target VCs path-encoded,
+        each with its packet (the version-1 layout of the dict-backed
+        queue this ring replaced; ``due_heap`` lists the due cycles)."""
+        views = self.network.fabric.views
+        due: Dict[int, list] = {}
+        for cycle, vid, packet, flags in self._flits():
+            vc = views[vid]
+            due.setdefault(cycle, []).append(
+                (
+                    (vc.router.node, vc.port, vc.vc_index),
+                    packet,
+                    bool(flags & RING_HEAD),
+                    bool(flags & RING_TAIL),
+                )
+            )
+        return {"version": 1, "due": due, "due_heap": sorted(due)}
 
     def load_state(self, state: dict) -> None:
         if state.get("version") != 1:
@@ -205,24 +301,51 @@ class ArrivalQueue:
                 f"unsupported ArrivalQueue state version {state.get('version')!r}"
             )
         routers = self.network.routers
-        self._due = {
-            cycle: [
-                (routers[node].inputs[port][vc_index], packet, is_head, is_tail)
-                for (node, port, vc_index), packet, is_head, is_tail in batch
-            ]
-            for cycle, batch in state["due"].items()
-        }
-        self._due_heap = list(state["due_heap"])
+        self._refill([
+            (
+                cycle,
+                routers[node].inputs[port][vc_index].vid,
+                packet,
+                (RING_HEAD if is_head else 0) | (RING_TAIL if is_tail else 0),
+            )
+            for cycle, batch in sorted(state["due"].items())
+            for (node, port, vc_index), packet, is_head, is_tail in batch
+        ])
 
     def tick(self, cycle: int) -> None:
-        arrivals = self._due.pop(cycle, None)
-        if not arrivals:
+        slot = cycle % self.slots
+        count = self.count[slot]
+        if not count or self.due[slot] != cycle:
             return
-        stats = self.network.stats
-        faults = self.network.faults
-        tracer = self.network.tracer
-        wake = self.network.kernel.wake
-        for target_vc, packet, is_head, is_tail in arrivals:
+        sweep = self.network.native_sweep
+        if sweep is None:
+            self._land(cycle, slot, count)
+        elif sweep.python_reason() is None:
+            sweep.land(slot, count)
+        else:
+            self._land(cycle, slot, count)
+            sweep.python_landings += count
+
+    def _land(self, cycle: int, slot: int, count: int) -> None:
+        """Land ``slot`` flit by flit through ``InputVC.accept_flit``."""
+        network = self.network
+        fs = network.fabric
+        views = fs.views
+        packets = fs.packet
+        base = slot * self.capacity
+        entries = self.ring[base:base + count]
+        heads = iter(self.heads[slot])
+        self.heads[slot] = []
+        self.count[slot] = 0
+        self.due[slot] = -1
+        stats = network.stats
+        faults = network.faults
+        tracer = network.tracer
+        wake = network.kernel.wake
+        for entry in entries:
+            target_vc = views[entry >> 2]
+            is_head = bool(entry & RING_HEAD)
+            packet = next(heads)[1] if is_head else packets[entry >> 2]
             target_vc.accept_flit(packet, is_head)
             wake(target_vc.router)
             stats.buffer_writes += 1
@@ -309,15 +432,6 @@ class LocalDeliveryQueue:
 class Network:
     """A cycle-level NoC instance over a pluggable topology."""
 
-    #: Fabrics with at most this many (src, dst) pairs get their whole
-    #: route table precomputed at construction (a 64-node mesh = 4096
-    #: pairs, well under a millisecond); bigger fabrics get the bounded
-    #: demand cache instead so memory stays O(cap), not O(n²).
-    ROUTE_PRECOMPUTE_MAX_PAIRS = 4096
-    #: Entry cap for the demand-filled cache on large fabrics (FIFO
-    #: eviction; ~64 nodes' worth of destination rows on a 1k-node mesh).
-    ROUTE_CACHE_CAP = 65536
-
     def __init__(
         self,
         config: NocConfig,
@@ -333,27 +447,12 @@ class Network:
         self.mesh = self.topology  # legacy alias (pre-fabric callers)
         self.routing = config.make_routing()
         self._route_fn = self.routing.fn
-        # Route memoization: decisions are pure functions of (topology,
-        # node, dst), so small fabrics precompute every pair once at
-        # construction and the cache never grows; large fabrics keep a
-        # bounded demand-filled cache with FIFO eviction (the counter is a
-        # plain attribute, deliberately outside every stat group).  Either
-        # way the cache is pure derived state — excluded from checkpoints.
-        self._route_cache: Dict[Tuple[int, int], Tuple[int, Optional[int]]] = {}
-        self._route_cache_cap = 0  # 0 = fully precomputed, never evicts
-        self._route_cache_evictions = 0
-        n_nodes = self.topology.n_nodes
-        if n_nodes * n_nodes <= self.ROUTE_PRECOMPUTE_MAX_PAIRS:
-            route_fn = self._route_fn
-            topology = self.topology
-            self._route_cache = {
-                (node, dst): route_fn(topology, node, dst)
-                for node in range(n_nodes)
-                for dst in range(n_nodes)
-                if node != dst
-            }
-        else:
-            self._route_cache_cap = self.ROUTE_CACHE_CAP
+        # Route memo: decisions are pure functions of (topology, node,
+        # dst), filled on first use, one packed ``out_port << 2 |
+        # (vc_class + 1)`` per (node, dst), -1 until then.  The native
+        # sweep reads it for RC.  Pure derived state: never checkpointed.
+        self._n_nodes = self.topology.n_nodes
+        self.route_table = array("q", [-1]) * (self._n_nodes * self._n_nodes)
         self.stats = NetworkStats()
         self.kernel = kernel if kernel is not None else SimKernel()
         #: The struct-of-arrays dataplane state layer (must exist before
@@ -525,6 +624,7 @@ class Network:
     def packet_priority(self, policy: Callable[[Packet], int]) -> None:
         self.fabric.priority = policy
         self.fabric.refresh_mirrors()
+        self.arrival_queue.remirror()
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -558,21 +658,18 @@ class Network:
 
         Routing algorithms are deterministic pure functions of
         ``(topology, node, dst)`` (the :mod:`repro.noc.routing` contract),
-        so decisions are memoized per pair.
+        so each pair is computed once, into ``route_table``.
         """
-        key = (node, dst)
-        decision = self._route_cache.get(key)
-        if decision is None:
-            decision = self._route_fn(self.topology, node, dst)
-            cache = self._route_cache
-            if self._route_cache_cap and len(cache) >= self._route_cache_cap:
-                # FIFO eviction: dict preserves insertion order, so the
-                # oldest entry is the first key.  Decisions are pure, so
-                # evicting one only costs a recompute on next use.
-                cache.pop(next(iter(cache)))
-                self._route_cache_evictions += 1
-            cache[key] = decision
-        return decision
+        key = node * self._n_nodes + dst
+        packed = self.route_table[key]
+        if packed < 0:
+            out_port, vc_class = self._route_fn(self.topology, node, dst)
+            self.route_table[key] = out_port << 2 | (
+                0 if vc_class is None else vc_class + 1
+            )
+            return out_port, vc_class
+        vc_class = (packed & 3) - 1
+        return packed >> 2, None if vc_class < 0 else vc_class
 
     def send(self, packet: Packet) -> None:
         """Inject a packet at its source node's NI."""
@@ -655,7 +752,7 @@ class Network:
         Version 2 (the FabricState refactor): the fabric's numeric plane
         travels as the ``fabric`` entry and is restored *last*, making it
         authoritative over anything the per-router VC snapshots wrote;
-        eject tokens live inside it.  The route cache is pure derived
+        eject tokens live inside it.  The route table is pure derived
         state (decisions are deterministic functions of the static
         topology) and is deliberately absent.
         """

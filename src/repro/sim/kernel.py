@@ -330,6 +330,32 @@ class SimKernel:
             return
         self._schedule(reg, at)
 
+    def handle(self, component: Component) -> _Scheduled:
+        """The scheduling handle of a registered active component, for
+        :meth:`wake_handles`."""
+        reg = self._reg_of.get(id(component))
+        if reg is None:
+            raise KeyError(
+                f"{component_label(component)} is not a registered active "
+                "component"
+            )
+        return reg
+
+    def wake_handles(self, handles) -> None:
+        """:meth:`wake` as soon as legal for each handle (:meth:`handle`):
+        a batch of components woken in one call."""
+        if not self._event_driven:
+            return
+        now = self.cycle
+        sweeping = self._sweep_index
+        for reg in handles:
+            if sweeping is not None and reg.phase.index > sweeping:
+                if reg.queued_for != now:
+                    reg.queued_for = now
+                    reg.phase.pending.append(reg)
+            else:
+                self._schedule(reg, now + 1)
+
     def _schedule(self, reg: _Scheduled, at: int) -> None:
         if at == self.cycle + 1:
             # Hot path: next-cycle revisit goes straight into the phase's

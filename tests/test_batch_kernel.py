@@ -2,16 +2,24 @@
 
 The :class:`FabricState` arrays are the dataplane both router sweeps
 (native and Python) read and write; they must round-trip through a
-checkpoint bit for bit.  The route cache is derived state that must
-stay bounded and never reach a checkpoint.
+checkpoint bit for bit.  The route table is derived state, filled on
+demand by Python (``Network.route``) and read by the native sweep, that
+must never reach a checkpoint.
 """
 
-from repro.noc import Network, NocConfig
+import pytest
+
+from repro.noc import Network, NocConfig, native
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 
+needs_native = pytest.mark.skipif(
+    native.load()[0] is None,
+    reason=f"native sweep unavailable: {native.load()[1]}",
+)
 
-def make_network(**kwargs):
-    return Network(NocConfig(**kwargs))
+
+def make_network(native_sweep=True, **kwargs):
+    return Network(NocConfig(**kwargs), native_sweep=native_sweep)
 
 
 def _traffic_run(cycles=700):
@@ -49,44 +57,67 @@ class TestFabricState:
 
 
 class TestRouteCache:
-    def test_small_fabrics_precompute_all_pairs(self):
-        network = Network(NocConfig())  # 4x4: 240 pairs <= 4096
+    @pytest.mark.parametrize("topology", ["mesh", "torus", "ring", "cmesh"])
+    def test_route_table_fills_on_demand(self, topology):
+        """The table starts empty (-1 everywhere) and ``route()`` fills
+        exactly the pairs asked for, with the routing function's
+        decision."""
+        shape = {"mesh": (4, 4), "cmesh": (2, 1)}.get(topology, (3, 2))
+        network = Network(NocConfig(width=shape[0], height=shape[1],
+                                    topology=topology, vcs_per_vnet=2))
         n = network.topology.n_nodes
-        assert len(network._route_cache) == n * (n - 1)
-        assert network._route_cache_cap == 0
-        before = dict(network._route_cache)
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    network.route(src, dst)
-        assert network._route_cache == before  # route() never grows it
-        assert network._route_cache_evictions == 0
+        assert set(network.route_table) == {-1}
+        asked = [(src, dst) for src in range(n) for dst in range(n)
+                 if (src * 7 + dst) % 3 == 0]
+        for src, dst in asked:
+            expected = network.routing.fn(network.topology, src, dst)
+            assert network.route(src, dst) == tuple(expected)
+            assert network.route(src, dst) == tuple(expected)  # a hit
+        filled = {divmod(key, n) for key, packed in
+                  enumerate(network.route_table) if packed != -1}
+        assert filled == set(asked)
 
-    def test_large_fabrics_cap_and_evict(self, monkeypatch):
-        monkeypatch.setattr(Network, "ROUTE_PRECOMPUTE_MAX_PAIRS", 0)
-        monkeypatch.setattr(Network, "ROUTE_CACHE_CAP", 8)
-        network = Network(NocConfig())
-        assert network._route_cache == {}
-        assert network._route_cache_cap == 8
+    @needs_native
+    def test_table_misses_of_the_native_sweep_match_route(self):
+        """Pairs the native sweep missed in the table and Python filled
+        hold the routing function's decision, and a second run on the
+        same network resolves every route in C without a miss."""
+        from repro.noc import native
+
+        network = _traffic_run()
+        assert network.native_sweep is not None
         n = network.topology.n_nodes
-        decisions = {}
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    decisions[(src, dst)] = network.route(src, dst)
-        assert len(network._route_cache) <= 8
-        assert network._route_cache_evictions > 0
-        # Evicted entries recompute to the same deterministic decision.
-        for (src, dst), decision in list(decisions.items())[:32]:
-            assert network.route(src, dst) == decision
+        filled = [(divmod(key, n), packed) for key, packed in
+                  enumerate(network.route_table) if packed != -1]
+        assert filled
+        fresh = make_network(native_sweep=False)
+        for (src, dst), packed in filled:
+            out_port, vc_class = fresh.route(src, dst)
+            assert packed == out_port << 2 | (
+                0 if vc_class is None else vc_class + 1
+            )
+        misses = []
+        replay = native.NativeSweep._replay
+
+        def counted(sweep, cycle, count):
+            events = sweep._events
+            misses.extend(j for j in range(0, 3 * count, 3)
+                          if events[j] == native.EV_ROUTE)
+            return replay(sweep, cycle, count)
+
+        native.NativeSweep._replay = counted
+        try:
+            SyntheticTraffic(
+                network, TrafficConfig(injection_rate=0.05, seed=11)
+            ).run(700)
+        finally:
+            native.NativeSweep._replay = replay
+        assert misses == []
 
     def test_route_cache_not_checkpointed(self):
-        """The cache is pure derived state: it never appears in a
-        checkpoint, and a capped cache's eviction counter resets on a
-        fresh build without affecting restored behaviour."""
+        """The route table is pure derived state: it never appears in a
+        checkpoint."""
         network = _traffic_run()
         state = network.state_dict()
-        for key in state:
-            assert "route_cache" not in key
-        for key in state["fabric"]:
-            assert "route_cache" not in key
+        for key in [*state, *state["fabric"]]:
+            assert "route_cache" not in key and "route_table" not in key

@@ -38,8 +38,11 @@ from repro.experiments.runner import QUICK_ACCESSES, RunSpec, result_digest
 from repro.faults import FaultController, FaultPlan
 from repro.noc import FlowControl, Network, NocConfig, native
 from repro.noc.fabric_state import ENGINE_ABORTABLE, ENGINE_IDLE, ENGINE_LOCKED
-from repro.noc.router import VC_IDLE, Router
+from repro.noc.flit import Packet, PacketType
+from repro.noc.network import RING_HEAD
+from repro.noc.router import VC_IDLE, VC_ROUTING, Router
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
+from repro.telemetry.tracer import PacketTracer
 from tests.test_golden_mesh import GOLDEN_DIGESTS
 
 CYCLES = 600
@@ -89,8 +92,11 @@ def _assert_same(a, b):
 
 
 def _network_run(native_sweep, *, factory=None, faults=None, setup=None,
-                 network_cls=Network, rate=0.05, seed=11, **noc):
-    """A synthetic-traffic run; returns (fingerprint, network)."""
+                 attach=None, network_cls=Network, rate=0.05, seed=11, **noc):
+    """A synthetic-traffic run; returns (fingerprint, network).
+
+    ``attach(network)`` runs once, after the first cycle past a third of
+    the run that ends with link flits in flight."""
     from repro.noc.flit import pid_watermark
 
     base = pid_watermark()
@@ -104,7 +110,14 @@ def _network_run(native_sweep, *, factory=None, faults=None, setup=None,
     traffic = SyntheticTraffic(
         network, TrafficConfig(injection_rate=rate, seed=seed)
     )
-    traffic.run(CYCLES)
+    for _ in range(CYCLES):
+        traffic.step()
+        if (attach is not None and network.cycle >= CYCLES // 3
+                and network.arrival_queue.pending()):
+            attach(network)
+            attach = None
+    assert attach is None, "no cycle ended with link flits in flight"
+    network.run_until_quiescent()
     fingerprint = {
         "cycle": network.cycle,
         "network": network._network_counters(),
@@ -160,8 +173,11 @@ def fabrics(draw):
     shape = {"mesh": (3, 2), "torus": (3, 2), "ring": (3, 2),
              "cmesh": (2, 1)}[topology]
     depth = 8 if flow is FlowControl.WORMHOLE else 9  # whole 64-byte lines
+    # The arrival ring has link_latency + 1 slots, indexed by due cycle.
+    latency = draw(st.sampled_from([1, 2, 3]))
     return NocConfig(width=shape[0], height=shape[1], topology=topology,
-                     flow_control=flow, vcs_per_vnet=vcs, vc_depth=depth)
+                     flow_control=flow, vcs_per_vnet=vcs, vc_depth=depth,
+                     link_latency=latency)
 
 
 @st.composite
@@ -469,10 +485,11 @@ class TestBuildCache:
 
 
 # -- checkpoints across paths ------------------------------------------------
-def _cross_paths(spec, first, second, pause_at):
+def _cross_paths(spec, first, second, pause_at, in_flight=False):
     """Pause on one path, restore on the other, finish: the snapshot bytes
-    at the pause must be identical on both paths; returns the digest of
-    the restored run."""
+    at the pause must be identical on both paths (and, with
+    ``in_flight``, the arrival ring must hold flits there); returns the
+    digest of the restored run."""
     from repro.noc import flit
 
     snapshots = {}
@@ -483,6 +500,8 @@ def _cross_paths(spec, first, second, pause_at):
         flit._packet_ids.value = start
         system = _system(spec, path)
         assert system.run(pause_at=pause_at) is None
+        if in_flight:
+            assert system.network.arrival_queue.pending() > 0
         snapshots[path] = pickle.dumps(system.state_dict(),
                                        pickle.HIGHEST_PROTOCOL)
     assert snapshots[first] == snapshots[second]
@@ -498,6 +517,35 @@ def test_checkpoint_crosses_paths(scheme, first, second):
     spec = RunSpec(scheme=scheme, workload="blackscholes",
                    accesses_per_core=QUICK_ACCESSES)
     assert _cross_paths(spec, first, second, 1500) == GOLDEN_DIGESTS[scheme]
+
+
+def _first_cycle_in_flight(spec, after):
+    """The first cycle past ``after`` that ends with both a head flit
+    (its packet held by the ring) and a body or tail flit (its packet
+    bound to the target VC) in the arrival ring."""
+    system = _system(spec, False)
+    while system.run(pause_at=system.cycle + 1) is None:
+        if system.cycle <= after:
+            continue
+        flits = list(system.network.arrival_queue._flits())
+        if any(flags & RING_HEAD for *_, flags in flits) and any(
+            not flags & RING_HEAD for *_, flags in flits
+        ):
+            return system.cycle
+    raise AssertionError("the run finished without such a cycle")
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "disco"])
+@pytest.mark.parametrize("first,second", [(True, False), (False, True)])
+def test_checkpoint_crosses_paths_in_flight(scheme, first, second):
+    """A snapshot taken while head and body flits are in the arrival ring
+    restores across paths to the golden digest."""
+    spec = RunSpec(scheme=scheme, workload="blackscholes",
+                   accesses_per_core=QUICK_ACCESSES)
+    pause_at = _first_cycle_in_flight(spec, 1000)
+    assert _cross_paths(spec, first, second, pause_at, in_flight=True) == (
+        GOLDEN_DIGESTS[scheme]
+    )
 
 
 def _first_cycle_with_job(spec, separate):
@@ -628,6 +676,152 @@ def test_disco_mirrors_are_rebuilt_on_restore():
         assert getattr(fresh.fabric, name).tolist() == (
             getattr(network.fabric, name).tolist()
         ), name
+
+
+# -- the arrival ring across an eligibility flip ------------------------------
+def _attach_zero_faults(network):
+    network.attach_faults(FaultController(FaultPlan(seed=3),
+                                          raise_on_violation=False))
+
+
+def _attach_tracer(network):
+    network.tracer = PacketTracer(sample_interval=1)
+
+
+@pytest.mark.parametrize("attach", [_attach_zero_faults, _attach_tracer],
+                         ids=["faults", "tracer"])
+def test_flits_in_flight_land_in_python_after_a_flip(attach, monkeypatch):
+    """A fault controller or tracer attached while the ring holds flits
+    sends every later landing, those flits included, through the Python
+    path (``on_link_flit`` once per landed flit), and the run equals one
+    that was on the Python path throughout."""
+    hooked = []
+    on_link_flit = FaultController.on_link_flit
+
+    def spy(self, cycle, target_vc, packet, is_head):
+        hooked.append(cycle)
+        return on_link_flit(self, cycle, target_vc, packet, is_head)
+
+    monkeypatch.setattr(FaultController, "on_link_flit", spy)
+    at_flip = {}
+
+    def flip(network):
+        sweep = network.native_sweep
+        at_flip["pending"] = network.arrival_queue.pending()
+        at_flip["native"] = None if sweep is None else sweep.native_landings
+        at_flip["python"] = None if sweep is None else sweep.python_landings
+        attach(network)
+
+    fast, network = _network_run(True, attach=flip)
+    hooked_fast = len(hooked)
+    slow, _ = _network_run(False, attach=attach)
+    assert fast == slow
+    sweep = network.native_sweep
+    if sweep is None:
+        return
+    assert at_flip["pending"] > 0
+    assert at_flip["native"] > 0 and at_flip["python"] == 0
+    assert sweep.native_landings == at_flip["native"]
+    landed = network.stats.link_flits - at_flip["native"]
+    assert sweep.python_landings == landed >= at_flip["pending"]
+    if attach is _attach_zero_faults:
+        assert hooked_fast == landed
+
+
+def test_priority_change_restashes_heads_in_flight():
+    """A new packet-state priority policy installed while response heads
+    are in the ring reaches their stashed mirrors: every head the native
+    path lands afterwards carries the new priority."""
+    network = Network(NocConfig(), router_factory=_hybrid_factory())
+    traffic = SyntheticTraffic(
+        network, TrafficConfig(injection_rate=0.2, seed=5)
+    )
+    queue = network.arrival_queue
+    while not any(packet.ptype is PacketType.RESPONSE
+                  for heads in queue.heads for _vid, packet in heads):
+        traffic.step()
+    network.packet_priority = disco_priority  # demotes those responses
+    for _ in range(50):
+        traffic.step()
+        _assert_mirrors(network)
+
+
+# -- failures name their cause -------------------------------------------------
+def _one_packet_network(native_sweep):
+    network = Network(NocConfig(width=2, height=2), native_sweep=native_sweep)
+    if native_sweep and network.native_sweep is None:
+        pytest.skip(f"native sweep unavailable: {native.load()[1]}")
+    network.set_delivery_handler(lambda node, packet: None)
+    network.send(Packet(PacketType.RESPONSE, 0, 3, line=bytes(64)))
+    return network
+
+
+class TestFailuresNameTheirCause:
+    """Each error code of the C side, forced through a fabricated fabric
+    state, raises the Python path's message (or, with no Python
+    counterpart, one naming the router)."""
+
+    @needs_native
+    def test_router_too_big(self):
+        network = Network(NocConfig())
+        ports = native.MAX_ROUTER_VCS + 1
+        # Fabricated: router 5 claims more ports than the C side handles
+        # (its table is the only place the C side reads a radix from).
+        network.native_sweep._tables[2][5] = ports
+        vcs = network.fabric.vcs_per_port
+        with pytest.raises(RuntimeError) as info:
+            network.tick()  # every router is primed for cycle 1
+        assert str(info.value) == (
+            f"router 5 has {ports * vcs} VCs; the native sweep handles at "
+            f"most {native.MAX_ROUTER_VCS}"
+        )
+
+    @pytest.mark.parametrize("native_sweep", [True, False],
+                             ids=["native", "python"])
+    def test_vc_collision(self, native_sweep):
+        network = _one_packet_network(native_sweep)
+        vc = network.routers[3].all_vcs[-1]
+        # Fabricated: the VC is bound when another head lands on it.
+        network.fabric.packet[vc.vid] = Packet(PacketType.REQUEST, 1, 3)
+        network.fabric.state[vc.vid] = VC_ROUTING
+        network.schedule_arrival(1, vc, Packet(PacketType.REQUEST, 2, 3),
+                                 is_head=True, is_tail=True)
+        with pytest.raises(RuntimeError) as info:
+            network.tick()
+        assert str(info.value) == (
+            f"VC collision at router 3 port {vc.port} vc {vc.vc_index}"
+        )
+
+    @pytest.mark.parametrize("native_sweep", [True, False],
+                             ids=["native", "python"])
+    @pytest.mark.parametrize("fault", ["overflow", "conflict"])
+    def test_ring_slot(self, native_sweep, fault):
+        """A full ring slot, or one holding flits due at another cycle,
+        stops the first link send into it."""
+        probe = _one_packet_network(native_sweep)
+        while not probe.stats.link_flits:
+            probe.tick()
+        network = _one_packet_network(native_sweep)
+        while network.cycle < probe.cycle - 1:
+            network.tick()
+        queue = network.arrival_queue
+        due = probe.cycle + network.config.link_latency
+        slot = due % queue.slots
+        if fault == "overflow":
+            queue.count[slot] = queue.capacity
+            queue.due[slot] = due
+            expected = queue.overflow_message(slot, due)
+            assert f"slot {slot}" in expected
+            assert f"capacity of {queue.capacity} flits" in expected
+        else:
+            queue.count[slot] = 1
+            queue.due[slot] = due + queue.slots
+            expected = queue.conflict_message(slot, due)
+            assert (f"slot {slot} holds flits due at cycle "
+                    f"{due + queue.slots}") in expected
+        with pytest.raises(RuntimeError) as info:
+            network.tick()
+        assert str(info.value) == expected
 
 
 # -- the DISCO post-work protocol ----------------------------------------------

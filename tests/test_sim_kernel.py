@@ -319,6 +319,37 @@ class TestWakeupEdgeCases:
         assert down_trace[0] == (1, "down")
         assert up_trace[0] == (2, "up")
 
+    def test_wake_handles_follows_the_wake_rule(self):
+        """A batch wake through handles reaches a not-yet-swept phase the
+        same cycle and an already-swept one the next, once each."""
+        kernel = SimKernel()
+        up_trace, down_trace = [], []
+        upstream = Recorder("up", up_trace, busy=False)
+        downstream = Recorder("down", down_trace, busy=False)
+
+        class Producer(SleepyRecorder):
+            def tick(self, cycle):
+                super().tick(cycle)
+                upstream.busy = downstream.busy = True
+                kernel.wake_handles(handles * 2)
+
+        kernel.register(upstream, phase="pre")
+        kernel.register(Producer("prod", []), phase="mid")
+        kernel.register(downstream, phase="post")
+        handles = [kernel.handle(upstream), kernel.handle(downstream)]
+        kernel.step()
+        kernel.step()
+        assert down_trace == [(1, "down"), (2, "down")]
+        assert up_trace == [(2, "up")]
+
+    def test_handle_of_unregistered_or_passive_raises(self):
+        kernel = SimKernel()
+        passive = Recorder("passive", [])
+        kernel.register(passive, passive=True)
+        for component in (Recorder("ghost", []), passive):
+            with pytest.raises(KeyError, match="not a registered active"):
+                kernel.handle(component)
+
     def test_timed_next_wake_sleeps_between_deadlines(self):
         kernel = SimKernel()
         trace = []
