@@ -20,8 +20,9 @@ both sweeps.  A divergence exits non-zero immediately — digest drift is
 a bug, never a perf trade.  The native leg must also really be native:
 a ``disco`` spec whose ``noc.sweep`` annotation is not ``native (...)``
 (a silent fallback to the Python sweep) fails the run, and so does any
-spec that lands a link flit through the Python path instead of in C,
-so a fallback can never pass as a speed-up.
+spec that lands a link flit or streams an injected flit through the
+Python path instead of in C, so a fallback can never pass as a
+speed-up.
 
 On top of the saturated smoke grid, a mostly-idle 16x16 mesh (the sparse
 configuration: 256 cores, a few dozen accesses each) is timed on both
@@ -211,6 +212,33 @@ def check_native_landings() -> int:
     return status
 
 
+def check_native_injections() -> int:
+    """Exit status 1 unless every spec of the smoke grid streams its
+    injected flits in C on the native leg (``NativeSweep.python_injections``
+    stays 0 while ``native_injections`` counts them).  Each spec is
+    rebuilt and run for :data:`NATIVE_CHECK_CYCLES` cycles."""
+    from repro.experiments.checkpoint import build_system
+
+    status = 0
+    for spec in _smoke_grid():
+        system = build_system(spec)
+        system.run(pause_at=NATIVE_CHECK_CYCLES)
+        sweep = system.network.native_sweep
+        name = f"{spec.workload}/{spec.scheme}"
+        if sweep is None:
+            print(f"perf smoke: the native leg runs {name} without the "
+                  f"native sweep: {system.kernel.annotations['noc.sweep']}")
+            status = 1
+        elif sweep.python_injections or not sweep.native_injections:
+            print(f"perf smoke: the native leg injects "
+                  f"{sweep.python_injections} flits of {name} through the "
+                  f"Python NI ({sweep.native_injections} in C)")
+            status = 1
+    if not status:
+        print("perf smoke: every smoke spec injects its flits in C")
+    return status
+
+
 def _gate(sweep: str, wall: float, cache_hit: bool, reference: float) -> int:
     """Gate one leg against ``reference``, the best record read *before*
     the leg appended its own entry."""
@@ -304,6 +332,7 @@ def main() -> int:
               f"all {len(native)} smoke specs")
     status |= check_native_disco()
     status |= check_native_landings()
+    status |= check_native_injections()
 
     run_sparse()
     return status

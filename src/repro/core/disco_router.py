@@ -80,10 +80,13 @@ class DiscoRouter(Router):
         # Packets stuck in VC allocation are idle candidates too: they have
         # a routed direction but no downstream VC (step-1 counts both VA
         # and SA losers).
+        fs = self.fs
+        states = fs.state
+        waits = fs.wait_cycles
         va_blocked = [
-            vc
-            for vc in self._bound
-            if vc.state == VC_VA and vc.wait_cycles > 0
+            fs.views[i]
+            for i in range(self._vid_lo, self._vid_hi)
+            if states[i] == VC_VA and waits[i] > 0
         ]
         if va_blocked:
             self.arbitrator.consider(va_blocked, cycle)

@@ -259,7 +259,7 @@ class DiscoCompressorEngine:
                 # The completion rewrote packet fields the fabric mirrors
                 # (size, compressed/compressible/poisoned flags).
                 vc.engine_job = None
-                vc.fs.mirror_packet(vc.vid, job.packet)
+                vc.fs.mirror(vc.fs.pkt_id[vc.vid])
             else:
                 still_running.append(job)
             # A streaming job locks its shadow once flits enter the engine.

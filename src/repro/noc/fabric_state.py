@@ -15,26 +15,27 @@ Python router path keeps its speed (:class:`InputVC`,
 these buffers), and their addresses are stable, so the native router
 sweep (:mod:`repro.noc.native`) binds to the very same memory.
 
-Object-valued state (the bound :class:`~repro.noc.flit.Packet`, the
-DISCO engine job) stays in parallel Python lists — packets are live
-objects that must keep identity through checkpoints.
+Object-valued state stays in Python lists.  Each packet in the fabric
+has an integer *handle* into the fabric's handle table (``packets``:
+handle -> :class:`~repro.noc.flit.Packet`, with a free list): a VC holds
+the handle of its bound packet in ``pkt_id`` (-1: none), the arrival
+ring carries it with every link flit, and an NI queue or stream names
+its packet by it.  A handle is allocated when an NI queues the packet
+and freed when the packet's tail leaves the fabric (ejection or squash);
+it is not ``Packet.pid`` (process-global, part of fingerprints).  The
+DISCO engine's jobs stay in the parallel ``engine_job`` list.
 
 Encodings (all fields are signed 64-bit):
 
 ==================  =====================================================
 ``state``           VC pipeline state (``VC_IDLE`` exactly when no packet is bound)
+``pkt_id``          handle of the bound packet; ``-1`` = none
 ``out_port``        RC decision; ``-1`` = none
 ``out_vc_class``    dateline escape class; ``NO_CLASS`` (-1) = unconstrained
 ``out_vc``          downstream VC id; ``NO_VC`` (-1) = none
 ``reserved``        0/1 flag
 ``wedged_until``    fault wedge deadline; ``-1`` = never wedged
 ``eject_tokens``    per-*node* ejection flow-control credits
-``pkt_size``        mirror of the bound packet's ``size_flits``
-``pkt_vnet``        mirror of the bound packet's vnet
-``pkt_dst``         mirror of the bound packet's destination node
-``pkt_prio``        mirror of ``network.packet_priority(packet)``
-``pkt_cand``        mirror of the DISCO arbitrator's packet filter
-                    (``CAND_NONE`` / ``CAND_COMPRESS`` / ``CAND_DECOMPRESS``)
 ``engine_vc``       the VC's DISCO engine job: ``ENGINE_IDLE``,
                     ``ENGINE_ABORTABLE`` or ``ENGINE_LOCKED``
 ``engine_jobs``     per-*node* ``len(engine.jobs)`` (0 on a plain router)
@@ -42,24 +43,56 @@ Encodings (all fields are signed 64-bit):
 ``sa_rr``           per-(router, output port) SA round-robin pointer
 ==================  =====================================================
 
-The ``pkt_*`` mirrors are written when a head flit binds a packet
-(:meth:`FabricState.mirror_packet`; on the native path, copied from the
-stash the arrival ring took from the sending VC) and again by the DISCO
-engine when a job completion changes the packet, so code that cannot
-see the packet objects (the native sweep) can read them.  ``engine_vc`` and
-``engine_jobs`` are written by the engine whenever a job starts,
-commits, aborts or ends.  All of them are derived state: never
-checkpointed, rebuilt from the live objects on restore.
+Per *handle* (indexed by ``pkt_id``), the packet mirrors and hop count:
 
-The arrays are fixed-size for the life of the fabric (topologies never
-grow mid-run), which is what makes binding to their addresses safe: an
-``array.array`` buffer only moves on resize, and we never resize.
+==================  =====================================================
+``pkt_size``        the packet's ``size_flits``
+``pkt_vnet``        its vnet
+``pkt_dst``         its destination node
+``pkt_prio``        ``network.packet_priority(packet)``
+``pkt_cand``        the DISCO arbitrator's packet filter
+                    (``CAND_NONE`` / ``CAND_COMPRESS`` / ``CAND_DECOMPRESS``)
+``pkt_hops``        hops traversed (authoritative while the handle lives)
+==================  =====================================================
+
+The mirrors depend on the packet alone, so they are written when the
+handle is allocated, after a DISCO engine completion changes the packet,
+and for every live handle when the priority policy changes.  ``pkt_hops``
+is counted by whichever path lands a head flit; ``packet.hops_traversed``
+is written back from it where Python reads it (:meth:`sync_hops`, and
+:meth:`retire` when the packet leaves the fabric).
+
+Per (node, vnet) ``q = node * vnets + vnet``, the NI injection state both
+the Python NI and the native one (:mod:`repro.noc.native`) run on:
+
+==================  =====================================================
+``ni_vid``          target VC of the open stream; ``-1`` = no stream
+``ni_pkt``          handle of the open stream's packet
+``ni_sent``         flits of it sent so far
+``ni_head``         handle of the injection queue's head; ``-1`` = empty
+``ni_ready``        the cycle the queue head becomes streamable
+==================  =====================================================
+
+and per node ``ni_deliver``, the earliest ready cycle of the NI's
+pending deliveries (``-1`` = none).  The rest of each injection queue
+stays a Python deque in the NI.
+
+``engine_vc`` and ``engine_jobs`` are written by the engine whenever a
+job starts, commits, aborts or ends.  Handles, mirrors, hop counts and
+the engine mirrors are derived state: never checkpointed, rebuilt from
+the live objects on restore.
+
+The per-VC and NI arrays are fixed-size for the life of the fabric
+(topologies never grow mid-run), which is what makes binding to their
+addresses safe: an ``array.array`` buffer only moves on resize.  The
+per-handle arrays double when the table is full; :attr:`on_grow`
+callbacks rebind to the new buffers.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 #: Sentinel encodings for the Optional fields.
 NO_PORT = -1
@@ -96,9 +129,9 @@ ENGINE_IDLE = 0
 ENGINE_ABORTABLE = 1
 ENGINE_LOCKED = 2
 
-#: The per-VC mirrors of the bound packet, in ``mirror_values`` order
-#: (the order the arrival ring stashes a head flit's mirrors in).
-MIRRORS = ("pkt_size", "pkt_vnet", "pkt_dst", "pkt_prio", "pkt_cand")
+#: The per-handle arrays: the packet mirrors and the hop count.
+HANDLE_FIELDS = ("pkt_size", "pkt_vnet", "pkt_dst", "pkt_prio", "pkt_cand",
+                 "pkt_hops")
 
 #: Fields initialised to -1 rather than 0.
 _MINUS_ONE_FIELDS = frozenset(("out_port", "out_vc_class", "out_vc", "wedged_until"))
@@ -107,12 +140,17 @@ _MINUS_ONE_FIELDS = frozenset(("out_port", "out_vc_class", "out_vc", "wedged_unt
 class FabricState:
     """Preallocated struct-of-arrays state for one fabric instance."""
 
-    def __init__(self, topology, vcs_per_port: int, vc_depth: int,
-                 ejection_bandwidth: int):
+    def __init__(self, topology, config):
+        """The plane of ``topology`` under ``config`` (a
+        :class:`~repro.noc.config.NocConfig`)."""
         self.topology = topology
+        vcs_per_port = config.vcs_per_port
         self.vcs_per_port = vcs_per_port
         #: Uniform VC buffer depth (structural, not per-VC state).
-        self.depth = vc_depth
+        self.depth = config.vc_depth
+        #: Injection queues per NI.
+        vnets = config.vnets
+        self.vnets = vnets
         n_nodes = topology.n_nodes
         base: List[int] = []
         total = 0
@@ -131,6 +169,7 @@ class FabricState:
                 setattr(self, name, array("q", minus_ones))
             else:
                 setattr(self, name, array("q", zeros))
+        self.pkt_id = array("q", minus_ones)
 
         # Static reverse maps (vid -> node / port / vc index).
         vc_node = array("q", zeros)
@@ -150,16 +189,19 @@ class FabricState:
         self.vc_index = vc_index
 
         #: Ejection flow-control credits, one per node (start full).
-        self.eject_tokens = array("q", [ejection_bandwidth] * n_nodes)
-        #: Bound-packet and engine mirrors (see the module docstring).
-        self.pkt_size = array("q", zeros)
-        self.pkt_vnet = array("q", zeros)
-        self.pkt_dst = array("q", zeros)
-        self.pkt_prio = array("q", zeros)
-        self.pkt_cand = array("q", zeros)
+        self.eject_tokens = array("q", [config.ejection_bandwidth] * n_nodes)
+        #: Engine mirrors (see the module docstring).
         self.engine_vc = array("q", zeros)
         self.engine_jobs = array("q", bytes(8 * n_nodes))
         self.engine_cap = array("q", bytes(8 * n_nodes))
+        #: NI injection state, per (node, vnet) and per node.
+        queues = n_nodes * vnets
+        self.ni_vid = array("q", [-1]) * queues
+        self.ni_pkt = array("q", [-1]) * queues
+        self.ni_sent = array("q", bytes(8 * queues))
+        self.ni_head = array("q", [-1]) * queues
+        self.ni_ready = array("q", bytes(8 * queues))
+        self.ni_deliver = array("q", [-1]) * n_nodes
         #: The ``packet_priority`` policy behind ``pkt_prio`` (the
         #: network's, set through ``Network.packet_priority``).
         self.priority = None
@@ -178,11 +220,94 @@ class FabricState:
         self.sa_rr = array("q", bytes(8 * n_ports))
 
         # Object plane: live Python references, parallel to the arrays.
-        self.packet: List[Optional[object]] = [None] * total
         self.engine_job: List[Optional[object]] = [None] * total
         #: ``vid -> InputVC`` view objects, filled in by the routers at
         #: construction so ``out_vc`` ids can resolve back to views.
         self.views: List[Optional[object]] = [None] * total
+        #: Called with no arguments after the per-handle arrays moved.
+        self.on_grow: List[Callable[[], None]] = []
+        self._init_handles(max(64, total))
+
+    # -- the handle table ----------------------------------------------------
+    def _init_handles(self, capacity: int) -> None:
+        #: handle -> live packet (``None``: free).
+        self.packets: List[Optional[object]] = [None] * capacity
+        #: Free handles, the next one to allocate last.
+        self._free = list(range(capacity - 1, -1, -1))
+        #: ``id(packet) -> handle`` of every live handle; the table holds
+        #: the packet, so its id cannot be reused while it is here.
+        self._handle_by_id: Dict[int, int] = {}
+        zeros = bytes(8 * capacity)
+        for name in HANDLE_FIELDS:
+            setattr(self, name, array("q", zeros))
+
+    def _grow(self) -> None:
+        capacity = len(self.packets)
+        self.packets.extend([None] * capacity)
+        self._free = list(range(2 * capacity - 1, capacity - 1, -1))
+        zeros = bytes(8 * capacity)
+        for name in HANDLE_FIELDS:
+            getattr(self, name).frombytes(zeros)
+        for callback in self.on_grow:
+            callback()
+
+    def allocate(self, packet) -> int:
+        """A new handle for ``packet``, its mirrors and hop count written."""
+        if not self._free:
+            self._grow()
+        handle = self._free.pop()
+        self.packets[handle] = packet
+        self._handle_by_id[id(packet)] = handle
+        self.mirror(handle)
+        self.pkt_hops[handle] = packet.hops_traversed
+        return handle
+
+    def handle_of(self, packet) -> int:
+        """The live handle of ``packet`` (-1: it has none)."""
+        return self._handle_by_id.get(id(packet), -1)
+
+    def handle(self, packet) -> int:
+        """``packet``'s live handle, allocated if it has none."""
+        handle = self._handle_by_id.get(id(packet), -1)
+        return handle if handle >= 0 else self.allocate(packet)
+
+    def retire(self, handle: int):
+        """Free ``handle`` (its packet left the fabric); returns the packet
+        with its hop count written back."""
+        packet = self.packets[handle]
+        packet.hops_traversed = self.pkt_hops[handle]
+        self.packets[handle] = None
+        del self._handle_by_id[id(packet)]
+        self._free.append(handle)
+        return packet
+
+    def live_handles(self) -> int:
+        """How many handles are allocated."""
+        return len(self._handle_by_id)
+
+    def reset_handles(self) -> None:
+        """Free every handle and unbind every VC (a restore rebuilds them
+        from the live packets)."""
+        self._init_handles(len(self.packets))
+        self.pkt_id[:] = array("q", [-1]) * self.n_vcs
+        for callback in self.on_grow:
+            callback()
+
+    def sync_hops(self, lo: int = 0, hi: Optional[int] = None) -> None:
+        """Write ``pkt_hops`` back into ``hops_traversed`` of the packets
+        bound to VCs ``lo .. hi`` (every live packet when no range is
+        given)."""
+        packets = self.packets
+        hops = self.pkt_hops
+        if hi is None:
+            for handle in self._handle_by_id.values():
+                packets[handle].hops_traversed = hops[handle]
+            return
+        pkt_id = self.pkt_id
+        for vid in range(lo, hi):
+            handle = pkt_id[vid]
+            if handle >= 0:
+                packets[handle].hops_traversed = hops[handle]
 
     # -- addressing ----------------------------------------------------------
     def vid(self, node: int, port: int, vc_index: int) -> int:
@@ -198,37 +323,22 @@ class FabricState:
         """Buffered + in-flight flits across every VC (telemetry gauge)."""
         return sum(self.flits_present) + sum(self.incoming)
 
-    def mirror_values(self, packet) -> Tuple[int, int, int, int, int]:
-        """The ``pkt_*`` mirror values of ``packet``, in ``MIRRORS`` order."""
+    def mirror(self, handle: int) -> None:
+        """Write the ``pkt_*`` mirrors of the packet behind ``handle``."""
+        packet = self.packets[handle]
         candidate = self.candidate_filter
-        return (
-            packet.size_flits,
-            packet.ptype.vnet,
-            packet.dst,
-            self.priority(packet),
-            0 if candidate is None else candidate(packet),
-        )
-
-    def mirror_packet(self, vid: int, packet) -> None:
-        """Write the ``pkt_*`` mirrors of the packet bound to ``vid``."""
-        (
-            self.pkt_size[vid],
-            self.pkt_vnet[vid],
-            self.pkt_dst[vid],
-            self.pkt_prio[vid],
-            self.pkt_cand[vid],
-        ) = self.mirror_values(packet)
+        self.pkt_size[handle] = packet.size_flits
+        self.pkt_vnet[handle] = packet.ptype.vnet
+        self.pkt_dst[handle] = packet.dst
+        self.pkt_prio[handle] = self.priority(packet)
+        self.pkt_cand[handle] = 0 if candidate is None else candidate(packet)
 
     def refresh_mirrors(self) -> None:
-        """Rebuild the ``pkt_*`` mirrors from the bound packets (after a
-        restore or a policy change: the mirrors are derived state, never
-        checkpointed).  The engine mirrors are the engines' own."""
-        for vid, packet in enumerate(self.packet):
-            if packet is None:
-                for name in MIRRORS:
-                    getattr(self, name)[vid] = 0
-            else:
-                self.mirror_packet(vid, packet)
+        """Rebuild the ``pkt_*`` mirrors of every live handle (after a
+        restore or a policy change).  The engine mirrors are the
+        engines' own."""
+        for handle in self._handle_by_id.values():
+            self.mirror(handle)
 
     # -- checkpointing -------------------------------------------------------
     def state_dict(self) -> dict:

@@ -465,7 +465,8 @@ def squash_packet(network: "Network", packet: Packet) -> int:
     Order matters: in-flight arrivals are purged first (decrementing the
     target VCs' ``incoming`` credits), then the source NI's queue/stream
     state, then every VC in the packet's wormhole chain is force-released
-    (which also drops downstream reservations and clears wedges).
+    (which also drops downstream reservations and clears wedges); last,
+    the packet's fabric handle is retired.
     """
     removed = network.arrival_queue.purge_packet(packet)
     network.nis[packet.src].cancel_packet(packet)
@@ -473,6 +474,9 @@ def squash_packet(network: "Network", packet: Packet) -> int:
         for vc in router.all_vcs:
             if vc.packet is packet:
                 removed += vc.force_release()
+    handle = network.fabric.handle_of(packet)
+    if handle >= 0:
+        network.fabric.retire(handle)
     return removed
 
 

@@ -99,11 +99,11 @@ class TestRouteCache:
         misses = []
         replay = native.NativeSweep._replay
 
-        def counted(sweep, cycle, count):
+        def counted(sweep, count):
             events = sweep._events
             misses.extend(j for j in range(0, 3 * count, 3)
                           if events[j] == native.EV_ROUTE)
-            return replay(sweep, cycle, count)
+            return replay(sweep, count)
 
         native.NativeSweep._replay = counted
         try:

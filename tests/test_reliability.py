@@ -256,6 +256,9 @@ class TestInvariantMonitor:
         assert stats.invariant_recoveries >= 1
         assert stats.flits_squashed > 0
         assert stats.recovered_packets == 1
+        # The squash retired the victim's fabric handle; the replay's
+        # own handle retired at its ejection.
+        assert network.fabric.live_handles() == 0
         counts = controller.reconcile(network.cycle)
         assert counts["recovered"] == 1
         assert counts["silent"] == 0
