@@ -161,6 +161,17 @@ class TestVirtualNetworks:
         assert seen_vcs[1] <= {1}
 
 
+    def test_packet_on_a_missing_vnet_is_rejected(self):
+        """A one-vnet network refuses a response (vnet 1) at the NI before
+        counting or queueing it; requests still flow."""
+        network = make_network(vnets=1)
+        with pytest.raises(ValueError, match="vnet 1"):
+            network.send(Packet(PacketType.RESPONSE, 0, 15, line=b"\x00" * 64))
+        assert network.stats.packets_injected == 0
+        assert network.fabric.live_handles() == 0
+        request = Packet(PacketType.REQUEST, 0, 15)
+        assert send_and_drain(network, [request]) == [(15, request)]
+
 class TestQuiescence:
     def test_quiescent_initially(self):
         assert make_network().quiescent()

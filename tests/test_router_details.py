@@ -21,8 +21,9 @@ def test_input_vc_free_slots_clamp():
 def test_accept_flit_head_collision_guard():
     network = Network(NocConfig())
     vc = network.routers[0].inputs[PORT_WEST][0]
-    p1 = Packet(PacketType.REQUEST, 0, 1)
-    p2 = Packet(PacketType.REQUEST, 0, 1)
+    fs = network.fabric
+    p1 = fs.allocate(Packet(PacketType.REQUEST, 0, 1))
+    p2 = fs.allocate(Packet(PacketType.REQUEST, 0, 1))
     vc.accept_flit(p1, is_head=True)
     with pytest.raises(RuntimeError):
         vc.accept_flit(p2, is_head=True)
@@ -32,7 +33,8 @@ def test_vc_release_resets_state():
     network = Network(NocConfig())
     vc = network.routers[0].inputs[PORT_WEST][0]
     packet = Packet(PacketType.REQUEST, 0, 1)
-    vc.accept_flit(packet, is_head=True)
+    vc.accept_flit(network.fabric.allocate(packet), is_head=True)
+    assert vc.packet is packet
     assert vc.state == VC_ROUTING
     vc.release()
     assert vc.state == VC_IDLE
