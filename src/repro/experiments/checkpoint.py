@@ -9,17 +9,11 @@ kinds can never be confused).  Envelopes are published atomically
 write still leaves a valid older envelope behind.  A corrupt envelope is
 quarantined (``*.corrupt``) and the older generation is tried next.
 
-Everything is configured by environment variables — deliberately outside
-:class:`~repro.experiments.runner.RunSpec`, so cache keys, result
-envelopes and golden digests are untouched whether checkpointing is on
-or off:
-
-- ``REPRO_CHECKPOINT_INTERVAL`` — cycles between periodic checkpoints
-  (default ``0`` = off);
-- ``REPRO_CHECKPOINT_DIR`` — envelope directory (default
-  ``<cache_dir>/checkpoints``);
-- ``REPRO_RESUME=1`` — restore from the latest valid checkpoint even
-  when periodic writing is off (the campaign resume path).
+``REPRO_CHECKPOINT_INTERVAL`` (cycles; 0, the default, is off),
+``REPRO_CHECKPOINT_DIR`` and ``REPRO_RESUME=1`` (restore even with
+periodic writing off) configure it through :mod:`repro.settings` —
+outside the :class:`~repro.experiments.runner.RunSpec`, so cache keys,
+result envelopes and golden digests are the same either way.
 
 With periodic writing on, SIGTERM/SIGINT are latched cooperatively: the
 handler only sets a flag, the run loop's ``checkpoint_fn`` hook writes a
@@ -38,6 +32,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.cmp.system import CmpSystem
+from repro.settings import settings
 
 #: Checkpoint envelope format version ("RDK" = repro disco kernel state).
 CHECKPOINT_MAGIC = b"RDK1"
@@ -52,34 +47,11 @@ def restores() -> int:
     return _RESTORES
 
 
-# --------------------------------------------------------------------------
-# configuration (environment only — never part of the spec/cache key)
-# --------------------------------------------------------------------------
-
-
-def checkpoint_interval() -> int:
-    """Cycles between periodic checkpoints; 0 (the default) disables."""
-    env = os.environ.get("REPRO_CHECKPOINT_INTERVAL", "").strip()
-    if not env:
-        return 0
-    try:
-        value = int(env)
-    except ValueError:
-        return 0
-    return max(0, value)
-
-
 def checkpoint_dir() -> Path:
-    override = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-    if override:
-        return Path(override).expanduser()
-    from repro.experiments.runner import cache_dir
-
-    return cache_dir() / "checkpoints"
-
-
-def resume_enabled() -> bool:
-    return os.environ.get("REPRO_RESUME", "") == "1"
+    """The envelope directory: ``REPRO_CHECKPOINT_DIR``, else
+    ``<cache_dir>/checkpoints``."""
+    config = settings()
+    return config.checkpoint_dir or config.cache_dir / "checkpoints"
 
 
 # --------------------------------------------------------------------------
@@ -308,10 +280,11 @@ def session_for(
     (the provably-inert default: no hooks, no signal handlers, no I/O).
     ``resume`` asks for a restore even with periodic writing off; it
     defaults to the ``REPRO_RESUME=1`` switch."""
-    interval = checkpoint_interval()
+    config = settings()
+    interval = config.checkpoint_interval
     if resume is None:
-        resume = resume_enabled()
-    if interval <= 0 and not resume:
+        resume = config.resume
+    if interval == 0 and not resume:
         return None
     from repro.experiments.runner import spec_key
 

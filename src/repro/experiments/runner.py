@@ -34,8 +34,9 @@ failures raises :class:`RunnerError` naming exactly the failed specs
 while the survivors stay in the memo/disk caches.  This module is the
 service's executor API: :func:`simulate`, :func:`cache_get` /
 :func:`cache_put`, :func:`journal_append` / :func:`journal_read`,
-:func:`spec_timeout`, :func:`retry_backoff`, :func:`quarantine_after`
-and :func:`start_watchdog` / :func:`stop_watchdog`.  Disk-cache entries
+:func:`retry_backoff`, :func:`clean_stale_heartbeats` and
+:func:`start_watchdog`.  Every ``REPRO_*`` knob is read through
+:func:`repro.settings.settings`.  Disk-cache entries
 carry a magic + SHA-256 envelope; an entry that fails validation is
 quarantined (renamed ``*.corrupt``) once and recomputed.
 
@@ -63,7 +64,6 @@ import signal
 import tempfile
 import threading
 import time
-import warnings
 from dataclasses import asdict, dataclass, replace as _dc_replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -71,6 +71,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.cmp.config import SystemConfig
 from repro.cmp.schemes import make_scheme
 from repro.cmp.system import CmpSystem, SimulationResult
+from repro.settings import settings
 from repro.telemetry.log import (
     correlation_scope,
     current_correlation,
@@ -83,7 +84,6 @@ from repro.telemetry.profiler import (
     render_profile,
     write_profile,
 )
-from repro.sim.kernel import kernel_mode_from_env
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import generate_traces
 
@@ -125,11 +125,13 @@ CODE_VERSION = "1"
 #: any other prefix are quarantined, not parsed.
 _CACHE_MAGIC = b"RDC1"
 
-#: Default per-spec timeout (seconds).
-_DEFAULT_SPEC_TIMEOUT = 600.0
-
 #: Cap (seconds) on :func:`retry_backoff`'s exponential growth.
 BACKOFF_CAP = 5.0
+
+#: Seconds a ``hang-once`` fault sleeps, and after which a journal
+#: lock's holder counts as dead.
+HANG_SECONDS = 3.0
+LOCK_STALE_SECONDS = 30.0
 
 #: Pid of the process that imported this module.  Fork workers inherit the
 #: parent's value, so ``os.getpid() != _MAIN_PID`` identifies pool workers
@@ -286,27 +288,17 @@ def _source_fingerprint() -> str:
     return _SOURCE_FINGERPRINT
 
 
-def _kernel_mode() -> str:
-    """The active scheduler mode (``event`` or ``tick``; any other
-    ``REPRO_KERNEL_MODE`` raises, naming the value).
-
-    Part of every cache key — memo and disk — so results produced under
-    one ``REPRO_KERNEL_MODE`` can never alias another mode's results
-    (their payloads are bit-identical by design, but the invariance tests
-    that *prove* that must observe genuinely independent runs)."""
-    return kernel_mode_from_env()
-
-
 def spec_key(spec: RunSpec) -> str:
     """Stable content address of (spec, code version, kernel mode) —
     identical across processes and interpreter sessions, independent of
-    hash randomization."""
+    hash randomization (the invariance tests that prove the kernel
+    modes bit-identical must observe independent runs)."""
     token = json.dumps(
         {
             "spec": asdict(spec),
             "code_version": CODE_VERSION,
             "source": _source_fingerprint(),
-            "kernel_mode": _kernel_mode(),
+            "kernel_mode": settings().kernel_mode,
         },
         sort_keys=True,
     )
@@ -336,14 +328,7 @@ def simulated_runs() -> int:
 
 def cache_dir() -> Path:
     """Disk-cache directory (``REPRO_CACHE_DIR`` overrides the default)."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override).expanduser()
-    return Path("~/.cache/repro-disco").expanduser()
-
-
-def disk_cache_enabled() -> bool:
-    return os.environ.get("REPRO_DISK_CACHE", "1") != "0"
+    return settings().cache_dir
 
 
 def clear_cache() -> None:
@@ -411,7 +396,7 @@ def _load_envelope(path: Path, magic: bytes, quarantine=_quarantine):
 
 
 def _disk_load(spec: RunSpec) -> Optional[SimulationResult]:
-    if not disk_cache_enabled():
+    if not settings().disk_cache:
         return None
     return _load_envelope(_disk_path(spec), _CACHE_MAGIC)
 
@@ -448,7 +433,7 @@ def _publish_atomic(directory: Path, target: Path, blob: bytes) -> None:
 
 
 def _disk_store(spec: RunSpec, result: SimulationResult) -> None:
-    if not disk_cache_enabled():
+    if not settings().disk_cache:
         return
     payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     blob = _CACHE_MAGIC + hashlib.sha256(payload).digest() + payload
@@ -496,17 +481,15 @@ def _maybe_inject_runner_fault(spec: RunSpec) -> None:
       spec that keeps killing its worker is quarantined at the
       ``REPRO_QUARANTINE_AFTER`` bound; never fires in the main process,
       so a one-worker batch (run on the calling thread) completes;
-    - ``hang-once``   sleep past any sane spec timeout once
-      (``REPRO_RUNNER_HANG_SECONDS``, default 5), then succeed.
+    - ``hang-once``   sleep :data:`HANG_SECONDS` once, then succeed.
     """
-    setting = os.environ.get("REPRO_RUNNER_FAULT", "")
-    if not setting:
+    setting = settings().runner_fault
+    if setting is None:
         return
-    parts = setting.split(":")
-    if len(parts) < 3 or spec.scheme != parts[1] or spec.workload != parts[2]:
+    mode, scheme, workload, *rest = setting.split(":", 3)
+    if spec.scheme != scheme or spec.workload != workload:
         return
-    mode = parts[0]
-    marker = Path(parts[3]) if len(parts) > 3 else None
+    marker = Path(rest[0]) if rest else None
     in_worker = os.getpid() != _MAIN_PID
 
     def _latch() -> bool:
@@ -526,7 +509,7 @@ def _maybe_inject_runner_fault(spec: RunSpec) -> None:
     if mode == "exit" and in_worker:
         os._exit(13)
     if mode == "hang-once" and in_worker and _latch():
-        time.sleep(float(os.environ.get("REPRO_RUNNER_HANG_SECONDS", "5")))
+        time.sleep(HANG_SECONDS)
 
 
 def _log_simulation(spec: RunSpec) -> None:
@@ -534,8 +517,8 @@ def _log_simulation(spec: RunSpec) -> None:
     a simulation actually executes (as opposed to being served from a
     cache) — a resumed campaign proves zero recomputation by intersecting
     this log with the journal's done set."""
-    path = os.environ.get("REPRO_SIM_LOG", "").strip()
-    if not path:
+    path = settings().sim_log
+    if path is None:
         return
     try:
         with open(path, "a", encoding="utf-8") as handle:
@@ -555,7 +538,7 @@ def simulate(
     point, importable at module top level so specs pickle across
     processes).  ``native_sweep=False`` keeps the routers on the Python
     sweep; the result is identical either way.  ``resume`` restores the
-    spec's latest checkpoint (default: ``REPRO_RESUME=1``).  The spec
+    spec's latest checkpoint (default: ``REPRO_RESUME``).  The spec
     timeout is a cooperative deadline started before the system is
     built, so it bounds in-process and pool runs alike.
 
@@ -577,7 +560,7 @@ def _simulate_in_scope(
     spec: RunSpec, verbose: bool, correlation: Optional[str],
     native_sweep: bool, resume: Optional[bool],
 ) -> SimulationResult:
-    timeout = spec_timeout()
+    timeout = settings().spec_timeout
     deadline = time.monotonic() + timeout if timeout is not None else None
     _maybe_inject_runner_fault(spec)
     _log_simulation(spec)
@@ -704,7 +687,7 @@ def _train_if_needed(system: CmpSystem, spec: RunSpec) -> None:
 def cache_get(spec: RunSpec) -> Optional[SimulationResult]:
     """The cached result of ``spec`` — memo, then disk (a disk hit is
     memoized) — or ``None`` on a miss."""
-    key = (spec, _kernel_mode())
+    key = (spec, settings().kernel_mode)
     cached = _CACHE.get(key)
     if cached is None:
         cached = _disk_load(spec)
@@ -715,7 +698,7 @@ def cache_get(spec: RunSpec) -> Optional[SimulationResult]:
 
 def cache_put(spec: RunSpec, result: SimulationResult) -> None:
     """Publish a fresh result to the memo and disk caches."""
-    _CACHE[(spec, _kernel_mode())] = result
+    _CACHE[(spec, settings().kernel_mode)] = result
     _disk_store(spec, result)
     _LOG.info(
         "[%s] finished %s/%s on %s (%s %dx%d): %d cycles, "
@@ -743,31 +726,9 @@ def run_spec(spec: RunSpec, verbose: bool = False) -> SimulationResult:
     return result
 
 
-_JOBS_WARNED = False
-
-
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set (min 1), else the CPU count.
-
-    An unparseable ``REPRO_JOBS`` falls back to the CPU count with a
-    one-time :class:`RuntimeWarning` naming the bad value — a typo'd pin
-    should not silently fan out across every core.
-    """
-    global _JOBS_WARNED
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            if not _JOBS_WARNED:
-                _JOBS_WARNED = True
-                warnings.warn(
-                    f"ignoring invalid REPRO_JOBS={env!r} "
-                    f"(not an integer); using the CPU count",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return os.cpu_count() or 1
+    """Worker count: ``REPRO_JOBS`` if set (min 1), else the CPU count."""
+    return settings().jobs or os.cpu_count() or 1
 
 
 def retry_backoff(spec: Optional[RunSpec] = None, attempt: int = 1) -> float:
@@ -778,8 +739,8 @@ def retry_backoff(spec: Optional[RunSpec] = None, attempt: int = 1) -> float:
     transient condition that killed the first attempt (a loaded machine,
     a descriptor-exhaustion spike); a short randomized pause decorrelates
     the attempts.  Base seconds come from ``REPRO_RETRY_BACKOFF``
-    (default 0.1; ``0`` disables, unparseable values use the default)
-    and the actual sleep is uniform in [0.5x, 1.5x] of the base.  When a
+    (default 0.1; ``0`` disables) and the actual sleep is uniform in
+    [0.5x, 1.5x] of the base.  When a
     spec is given the jitter is drawn from a generator seeded by its key
     — reproducible across runs, decorrelated across specs — instead of
     the process-global RNG (whose draws would otherwise depend on
@@ -787,30 +748,11 @@ def retry_backoff(spec: Optional[RunSpec] = None, attempt: int = 1) -> float:
     with every further attempt, capped at :data:`BACKOFF_CAP` — the one
     backoff formula for errors, interruptions and resumed crash loops.
     """
-    env = os.environ.get("REPRO_RETRY_BACKOFF", "").strip()
-    base = 0.1
-    if env:
-        try:
-            base = float(env)
-        except ValueError:
-            base = 0.1
-    if base <= 0:
+    base = settings().retry_backoff
+    if base is None:
         return 0.0
     rng = random.Random(spec_key(spec)) if spec is not None else random
     return min(rng.uniform(0.5, 1.5) * base * 2 ** (attempt - 1), BACKOFF_CAP)
-
-
-def spec_timeout() -> Optional[float]:
-    """Per-spec timeout in seconds (``REPRO_SPEC_TIMEOUT``; ``0`` or
-    negative disables, unparseable values use the default)."""
-    env = os.environ.get("REPRO_SPEC_TIMEOUT", "").strip()
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            return _DEFAULT_SPEC_TIMEOUT
-        return value if value > 0 else None
-    return _DEFAULT_SPEC_TIMEOUT
 
 
 # --------------------------------------------------------------------------
@@ -830,19 +772,12 @@ def _journal_lock() -> "FileLock":
     service runs many journaling processes against one shared cache
     directory — so writes serialize through a lockfile with stale-owner
     takeover (a SIGKILLed holder's lock is broken after
-    ``REPRO_LOCK_STALE_SECONDS``, default 30)."""
+    :data:`LOCK_STALE_SECONDS`)."""
     from repro.experiments.lockfile import FileLock
 
-    stale = 30.0
-    env = os.environ.get("REPRO_LOCK_STALE_SECONDS", "").strip()
-    if env:
-        try:
-            stale = max(1.0, float(env))
-        except ValueError:
-            pass
     return FileLock(
         cache_dir() / "campaign.journal.lock",
-        stale_seconds=stale,
+        stale_seconds=LOCK_STALE_SECONDS,
         timeout=5.0,
     )
 
@@ -929,19 +864,6 @@ def journal_read() -> Dict[str, dict]:
     return entries
 
 
-def quarantine_after() -> int:
-    """Crash-loop bound: a spec interrupted mid-run this many consecutive
-    times is quarantined instead of retried forever
-    (``REPRO_QUARANTINE_AFTER``, default 3, minimum 1)."""
-    env = os.environ.get("REPRO_QUARANTINE_AFTER", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 3
-
-
 # --------------------------------------------------------------------------
 # heartbeats + watchdog (progress supervision for pool workers)
 # --------------------------------------------------------------------------
@@ -949,17 +871,17 @@ def quarantine_after() -> int:
 
 def _heartbeat_writer(spec: RunSpec):
     """Progress hook writing this process's heartbeat file, or ``None``
-    when supervision is off (``REPRO_HEARTBEAT_DIR`` unset).
+    when supervision is off (``Settings.heartbeat_dir`` is ``None``).
 
     The heartbeat carries the last simulated cycle: the watchdog
     distinguishes *wedged* (cycle frozen) from merely *slow* (cycle still
     advancing), so a loaded machine is never punished.  Writes are atomic
     (tmp + ``os.replace``) and throttled to roughly one per second.
     """
-    directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-    if not directory:
+    directory = settings().heartbeat_dir
+    if directory is None:
         return None
-    path = Path(directory) / f"hb_{os.getpid()}.json"
+    path = directory / f"hb_{os.getpid()}.json"
     key = spec_key(spec)
     state = {"last": 0.0}
 
@@ -1047,10 +969,9 @@ def clean_stale_heartbeats(directory: Optional[Path] = None) -> int:
     delete evidence about a process we cannot inspect.
     """
     if directory is None:
-        env = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-        if not env:
+        directory = settings().heartbeat_dir
+        if directory is None:
             return 0
-        directory = Path(env)
     removed = 0
     try:
         beats = list(directory.glob("hb_*.json"))
@@ -1081,19 +1002,6 @@ def clean_stale_heartbeats(directory: Optional[Path] = None) -> int:
             except OSError:
                 pass
     return removed
-
-
-def watchdog_seconds() -> Optional[float]:
-    """Stall threshold for the pool watchdog (``REPRO_WATCHDOG_SECONDS``;
-    unset, 0 or negative disables)."""
-    env = os.environ.get("REPRO_WATCHDOG_SECONDS", "").strip()
-    if not env:
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 class _Watchdog:
@@ -1194,44 +1102,13 @@ class _Watchdog:
                 )
 
 
-def start_watchdog() -> Tuple[Optional[_Watchdog], bool]:
-    """Arm worker supervision when configured: point workers at a
-    heartbeat directory (unless the caller pinned one) and start the
-    stall watchdog.  Returns ``(watchdog, env_was_set_here)``."""
-    stall = watchdog_seconds()
-    if stall is None:
-        return None, False
-    set_here = False
-    directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-    if not directory:
-        directory = str(cache_dir() / "heartbeats")
-        os.environ["REPRO_HEARTBEAT_DIR"] = directory
-        set_here = True
-    try:
-        Path(directory).mkdir(parents=True, exist_ok=True)
-    except OSError:
-        pass
-    # SIGKILLed workers from an earlier campaign leave orphan heartbeat
-    # files behind; sweep them before arming so the fresh watchdog never
-    # reasons about (or signals) a recycled pid.
-    clean_stale_heartbeats(Path(directory))
-    return _Watchdog(Path(directory), stall).start(), set_here
-
-
-def stop_watchdog(watchdog: Optional[_Watchdog], set_here: bool) -> None:
-    if watchdog is not None:
-        watchdog.stop()
-    if set_here:
-        os.environ.pop("REPRO_HEARTBEAT_DIR", None)
-
-
-def _profile_destination(profile_out: Optional[str]) -> Optional[str]:
-    """Where the aggregated ``profile.json`` goes: the explicit argument,
-    else ``REPRO_PROFILE_OUT``, else nowhere."""
-    if profile_out is not None:
-        return profile_out
-    env = os.environ.get("REPRO_PROFILE_OUT", "").strip()
-    return env or None
+def start_watchdog() -> Optional[_Watchdog]:
+    """The started stall watchdog, or ``None`` with it off.  Sweep stale
+    heartbeats first: a recycled pid must never be signalled."""
+    config = settings()
+    if config.watchdog_seconds is None:
+        return None
+    return _Watchdog(config.heartbeat_dir, config.watchdog_seconds).start()
 
 
 def _emit_profile(
@@ -1239,7 +1116,8 @@ def _emit_profile(
     profile_out: Optional[str],
     verbose: bool,
 ) -> Optional[RunProfile]:
-    """Aggregate per-run profiles and write ``profile.json`` if asked.
+    """Aggregate per-run profiles and write ``profile.json`` if asked
+    (``profile_out``, else ``REPRO_PROFILE_OUT``).
 
     Only runs executed with ``profile_run=True`` carry a profile; a batch
     with none is a silent no-op.  Cached results keep the profile of the
@@ -1253,7 +1131,7 @@ def _emit_profile(
     if verbose:
         ensure_level(logging.INFO)
     _LOG.info("%s", render_profile(merged))
-    path = _profile_destination(profile_out)
+    path = profile_out if profile_out is not None else settings().profile_out
     if path:
         write_profile(path, merged)
         _LOG.info("profile written to %s", path)
@@ -1286,13 +1164,12 @@ def run_specs(
 
     Every miss is journaled (pending/running/done/failed/quarantined) to
     ``campaign.journal.jsonl``.  With ``resume=True`` (default: the
-    ``REPRO_RESUME=1`` environment switch) each miss starts from the
+    ``REPRO_RESUME`` environment switch) each miss starts from the
     journal's count of consecutive interrupted attempts — at the
     ``REPRO_QUARANTINE_AFTER`` bound it is quarantined without running —
     and partially-run specs restore from their latest checkpoint inside
     :func:`simulate`.
     """
-    from repro.experiments.checkpoint import resume_enabled
     from repro.service.scheduler import CampaignService
 
     out: Dict[RunSpec, SimulationResult] = {}
@@ -1317,7 +1194,7 @@ def run_specs(
             max_queue_depth=size,
         )
         job = service.run_job(
-            misses, resume_enabled() if resume is None else resume
+            misses, settings().resume if resume is None else resume
         )
         results, failures, prior = job.outcome()
         out.update(results)

@@ -124,6 +124,7 @@ from repro.noc.fabric_state import NO_CLASS
 from repro.noc.flit import PacketType
 from repro.noc.router import VC_VA, Router, _base_can_eject
 from repro.noc.topology import PORT_LOCAL
+from repro.settings import settings
 from repro.sim.kernel import _reg_order
 from repro.telemetry.log import get_logger
 
@@ -170,11 +171,9 @@ def find_compiler() -> Optional[str]:
 
 def cache_dirs() -> List[Path]:
     """Where the built library may live, in order of preference."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
+    base = settings().xdg_cache_home or Path.home() / ".cache"
     return [
-        Path(base) / "repro-native",
+        base / "repro-native",
         Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}",
     ]
 

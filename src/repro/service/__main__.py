@@ -1,12 +1,12 @@
 """``python -m repro.service`` — run the campaign service.
 
-Starts the scheduler and the HTTP frontend, then waits for SIGTERM or
-SIGINT; on either it stops accepting, drains the backlog (bounded by
-``--drain-timeout``), and exits 0 — the clean-shutdown contract the
-chaos drill asserts.  All the runner's environment knobs apply
-(``REPRO_CACHE_DIR``, ``REPRO_WATCHDOG_SECONDS``,
-``REPRO_QUARANTINE_AFTER``, ``REPRO_SPEC_TIMEOUT``...), so a service is
-exactly a long-lived, admission-controlled batch runner.
+A malformed setting exits 2 with one line naming the variable, before
+any thread or port.  Otherwise it starts the scheduler and the HTTP
+frontend, then waits for SIGTERM or SIGINT; on either it stops
+accepting, drains the backlog (bounded by ``--drain-timeout``), and
+exits 0 — the clean-shutdown contract the chaos drill asserts.  Every
+runner setting applies (:mod:`repro.settings`), so a service is exactly
+a long-lived, admission-controlled batch runner.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import threading
 
 from repro.service.http import serve
 from repro.service.scheduler import CampaignService
+from repro.settings import SettingsError, settings
 from repro.telemetry.log import ensure_level, get_logger
 
 _LOG = get_logger("repro.service.main")
@@ -66,6 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        settings()
+    except SettingsError as exc:
+        print(f"repro.service: {exc}", file=sys.stderr)
+        return 2
     ensure_level(logging.INFO)
     service = CampaignService(
         workers=args.workers,

@@ -44,7 +44,7 @@ Failure taxonomy
 - Stale heartbeat files are swept at startup
   (:func:`~repro.experiments.runner.clean_stale_heartbeats`) and the
   heartbeat watchdog is armed whenever ``REPRO_WATCHDOG_SECONDS`` is
-  set.
+  set (workers derive its directory from their inherited settings).
 - Results publish through the content-addressed caches (memo + atomic-
   rename disk entries), so many service processes — on many hosts — can
   share one cache directory without corrupting an entry.
@@ -59,7 +59,6 @@ age, shed markers) for the ``/stats`` endpoint.
 from __future__ import annotations
 
 import heapq
-import os
 import signal
 import threading
 import time
@@ -69,12 +68,11 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments import runner as _runner
-from repro.experiments.checkpoint import resume_enabled
 from repro.faults.campaign import run_campaign_payload
+from repro.settings import settings
 from repro.service.admission import (
     AdmissionController,
     AdmissionStats,
@@ -207,7 +205,6 @@ class CampaignService:
         self._pool_generation = 0
         self._pool_lock = threading.Lock()
         self._watchdog = None
-        self._hb_set_here = False
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "CampaignService":
@@ -218,7 +215,7 @@ class CampaignService:
         swept = _runner.clean_stale_heartbeats()
         if swept:
             _LOG.info("startup: removed %d stale heartbeat files", swept)
-        self._watchdog, self._hb_set_here = _runner.start_watchdog()
+        self._watchdog = _runner.start_watchdog()
         self._accepting = True
         self.started_mono = time.monotonic()
         for index in range(self.workers):
@@ -268,8 +265,9 @@ class CampaignService:
             pool, self._pool = self._pool, None
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
-        _runner.stop_watchdog(self._watchdog, self._hb_set_here)
-        self._watchdog = None
+        if self._watchdog is not None:
+            self._watchdog.stop()
+            self._watchdog = None
         _LOG.info(
             "service down (%s)", "drained" if drained else "abandoned backlog"
         )
@@ -315,12 +313,12 @@ class CampaignService:
 
     def heartbeat_lags(self) -> Dict[int, float]:
         """Seconds since each worker's heartbeat file was refreshed."""
-        directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-        if not directory:
+        directory = settings().heartbeat_dir
+        if directory is None:
             return {}
         lags: Dict[int, float] = {}
         try:
-            for path in Path(directory).glob("hb_*.json"):
+            for path in directory.glob("hb_*.json"):
                 try:
                     pid = int(path.stem.split("_", 1)[1])
                 except (IndexError, ValueError):
@@ -371,6 +369,7 @@ class CampaignService:
             "max_queue_depth": self.admission.max_queue_depth,
             "workers_alive": self.live(),
             "heartbeats": self._heartbeat_summary(),
+            "settings": settings().as_dict(),
             "slo": [status.to_dict() for status in slo_status],
             "slo_burning": [status.name for status in burning],
             "reasons": reasons,
@@ -382,7 +381,7 @@ class CampaignService:
     def _stale_heartbeats(self) -> List[Tuple[int, float]]:
         """Heartbeat pids older than the watchdog budget (or 60s when no
         watchdog is armed) — the readiness probe's staleness evidence."""
-        budget = _runner.watchdog_seconds() or 60.0
+        budget = settings().watchdog_seconds or 60.0
         return sorted(
             (pid, age)
             for pid, age in self.heartbeat_lags().items()
@@ -391,9 +390,10 @@ class CampaignService:
 
     def _heartbeat_summary(self) -> Dict:
         """Worker heartbeat freshness (rides the PR 7 heartbeat files)."""
-        directory = os.environ.get("REPRO_HEARTBEAT_DIR", "").strip()
-        summary = {"dir": directory or None, "workers": 0, "freshest_age": None}
-        if not directory:
+        directory = settings().heartbeat_dir
+        summary = {"dir": directory and str(directory), "workers": 0,
+                   "freshest_age": None}
+        if directory is None:
             return summary
         lags = self.heartbeat_lags()
         summary["workers"] = len(lags)
@@ -497,7 +497,7 @@ class CampaignService:
             )
             self._record_shed(decision, len(units_payload))
             return decision
-        return self._admit(client, priority, units_payload, resume_enabled())
+        return self._admit(client, priority, units_payload, settings().resume)
 
     def run_job(self, specs: Sequence, resume: bool) -> Job:
         """Run ``specs`` as one job on this never-started service and
@@ -547,7 +547,7 @@ class CampaignService:
         A resumed job's spec units start from the journal's interruption
         counts; one below the quarantine bound backs off first."""
         journal = _runner.journal_read() if resume else {}
-        limit = _runner.quarantine_after()
+        limit = settings().quarantine_after
         with self._cond:
             depth = self.queue_depth()
             decision = self.admission.admit(
@@ -752,7 +752,7 @@ class CampaignService:
             _runner.journal_append(unit.key, "done")
             self._resolve_spec(unit, cached, cached=True)
             return
-        if unit.interruptions >= _runner.quarantine_after():
+        if unit.interruptions >= settings().quarantine_after:
             self._quarantine(unit)  # a resumed crash loop: never re-run
             return
         _runner.journal_append(unit.key, "running")
@@ -784,7 +784,7 @@ class CampaignService:
             if self._inline:
                 return True, fn(*args, **kwargs)
             future, generation = self._pool_submit(fn, *args, **kwargs)
-            timeout = _runner.spec_timeout()
+            timeout = settings().spec_timeout
             try:
                 return True, future.result(timeout=timeout)
             except _FutureTimeout:
@@ -816,7 +816,7 @@ class CampaignService:
         """A worker died under the unit — the crash-loop path."""
         unit.interruptions += 1
         unit.record_error(exc)
-        if unit.interruptions >= _runner.quarantine_after():
+        if unit.interruptions >= settings().quarantine_after:
             self._quarantine(unit)
         else:
             self._requeue(unit, unit.interruptions)

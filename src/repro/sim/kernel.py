@@ -52,41 +52,15 @@ it without the kernel knowing about them.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.settings import check_kernel_mode, settings
 from repro.sim.component import Component
 from repro.sim.stats import StatsRegistry
 
 Tracer = Callable[[int, str, Component], None]
-
-#: The scheduler modes (``batch`` was removed; naming it raises saying so).
-KERNEL_MODES = ("event", "tick")
-
-
-def check_kernel_mode(mode: str, source: str = "kernel mode") -> str:
-    """``mode`` if it names a scheduler; otherwise a ValueError naming
-    the value (and, for ``batch``, saying the mode was removed)."""
-    if mode == "batch":
-        raise ValueError(
-            f"{source} 'batch' was removed: the event kernel runs the "
-            "native router sweep instead; use 'event' (the default) or "
-            "'tick'"
-        )
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown {source} {mode!r}: expected 'event' or 'tick'"
-        )
-    return mode
-
-
-def kernel_mode_from_env() -> str:
-    """The validated ``REPRO_KERNEL_MODE`` (unset or empty: ``event``)."""
-    return check_kernel_mode(
-        os.environ.get("REPRO_KERNEL_MODE") or "event", "REPRO_KERNEL_MODE"
-    )
 
 
 def component_label(component: Component) -> str:
@@ -175,7 +149,7 @@ class SimKernel:
         # parameter is the legacy spelling and wins when given explicitly.
         if mode is None:
             if event_driven is None:
-                mode = kernel_mode_from_env()
+                mode = settings().kernel_mode
             else:
                 mode = "event" if event_driven else "tick"
         else:

@@ -35,6 +35,7 @@ Dump schema (``flight_<pid>.json``)::
       "corr": "c0ffee..." | null,        # correlation id, when bound
       "extra": {...},                    # site-specific detail (spec key,
                                          #   last cycle, phase timings...)
+      "settings": {...},                 # Settings.as_dict() of the process
       "events": [{"seq": 1, "ts": ..., "kind": ..., ...}, ...],
       "logs":   [{"ts": ..., "level": "INFO", "name": ...,
                   "corr": ..., "message": ...}, ...]
@@ -53,6 +54,7 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.settings import settings
 from repro.telemetry.log import CorrelationFilter, current_correlation
 
 #: Ring capacities — small enough that an inflight dump costs microseconds,
@@ -61,15 +63,9 @@ EVENT_CAPACITY = 256
 LOG_CAPACITY = 64
 
 
-def flight_dir() -> Optional[Path]:
-    """The flight-record directory, or ``None`` when the recorder is off
-    (``REPRO_FLIGHT_DIR`` unset/empty — the default)."""
-    raw = os.environ.get("REPRO_FLIGHT_DIR", "").strip()
-    return Path(raw) if raw else None
-
-
 def enabled() -> bool:
-    return flight_dir() is not None
+    """Whether ``REPRO_FLIGHT_DIR`` arms the recorder (off by default)."""
+    return settings().flight_dir is not None
 
 
 class FlightRecorder:
@@ -136,7 +132,8 @@ class FlightRecorder:
         from one process replace the file, so the newest state wins —
         exactly what the inflight-ahead-of-SIGKILL strategy needs.
         """
-        directory = flight_dir()
+        config = settings()
+        directory = config.flight_dir
         if directory is None:
             return None
         pid = pid if pid is not None else os.getpid()
@@ -147,6 +144,7 @@ class FlightRecorder:
             "ts": time.time(),
             "corr": corr if corr is not None else current_correlation(),
             "extra": extra or {},
+            "settings": config.as_dict(),
         }
         payload.update(self.snapshot())
         path = directory / f"flight_{pid}.json"
@@ -225,7 +223,8 @@ def read_flight_records(
 ) -> List[Dict]:
     """Load every ``flight_*.json`` in the directory (triage helper for
     drills, tests and CI artifact collection)."""
-    directory = directory if directory is not None else flight_dir()
+    if directory is None:
+        directory = settings().flight_dir
     if directory is None:
         return []
     records = []

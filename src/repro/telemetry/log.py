@@ -36,7 +36,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import logging
-import os
+
+from repro.settings import SettingsError, settings
 
 _ROOT_NAME = "repro"
 _FORMAT = (
@@ -89,36 +90,25 @@ class CorrelationFilter(logging.Filter):
         return True
 
 
-def level_from_env(default: int = logging.WARNING) -> int:
-    """Resolve ``REPRO_LOG_LEVEL`` (a name like ``debug`` or a number)
-    into a logging level; unparseable values fall back to ``default``."""
-    raw = os.environ.get("REPRO_LOG_LEVEL", "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    resolved = logging.getLevelName(raw.upper())
-    if isinstance(resolved, int):
-        return resolved
-    return default
-
-
 def get_logger(name: str = _ROOT_NAME) -> logging.Logger:
     """Return a logger under the ``repro`` tree, configuring the shared
     handler + ``REPRO_LOG_LEVEL`` threshold on first use."""
     global _configured
     root = logging.getLogger(_ROOT_NAME)
     if not _configured:
-        _configured = True
         if not root.handlers:
             handler = logging.StreamHandler()
             handler.setFormatter(logging.Formatter(_FORMAT, _DATE_FORMAT))
             handler.addFilter(CorrelationFilter())
             root.addHandler(handler)
         root.propagate = False
-        root.setLevel(level_from_env())
+        try:
+            root.setLevel(settings().log_level)
+            _configured = True
+        except SettingsError:
+            # Loggers are fetched at import, which must not fail on the
+            # environment: the first settings read that runs work raises.
+            pass
     if name == _ROOT_NAME:
         return root
     if not name.startswith(_ROOT_NAME + "."):

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.settings import settings
 from repro.sim.kernel import SimKernel
 
 #: ``(phase, component label)`` — the attribution key.
@@ -145,8 +146,9 @@ def merge_profiles(profiles: List[RunProfile]) -> Optional[RunProfile]:
 
 
 def write_profile(path: str, profile: RunProfile, *, top_k: int = 10) -> Dict:
-    """Write ``profile.json``; returns the written dict."""
+    """Write ``profile.json`` (settings echo included); returns it."""
     payload = profile.to_dict(top_k)
+    payload["settings"] = settings().as_dict()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

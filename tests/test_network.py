@@ -5,6 +5,7 @@ import pytest
 from repro.noc import Network, NocConfig
 from repro.noc.config import FlowControl
 from repro.noc.flit import Packet, PacketType
+from repro.noc.router import InputVC
 from repro.noc.traffic import SyntheticTraffic, TrafficConfig
 
 
@@ -141,25 +142,26 @@ class TestFlowControlVariants:
 
 
 class TestVirtualNetworks:
-    def test_vnet_separation(self):
-        """Responses and requests use disjoint VC classes."""
-        network = make_network()
+    def test_vnet_separation(self, monkeypatch):
+        """Responses and requests use disjoint VC classes: every head
+        lands, at every hop, on a VC of its own vnet."""
+        network = Network(NocConfig(), native_sweep=False)
         seen_vcs = {0: set(), 1: set()}
-        original = Network.schedule_arrival
+        original = InputVC.accept_flit
 
-        def spy(self, delay, target_vc, packet, is_head, is_tail):
-            seen_vcs[packet.ptype.vnet].add(target_vc.vc_index)
-            original(self, delay, target_vc, packet, is_head, is_tail)
+        def spy(vc, handle, is_head):
+            if is_head:
+                packet = vc.fs.packets[handle]
+                seen_vcs[packet.ptype.vnet].add(vc.vc_index)
+            original(vc, handle, is_head)
 
-        network.schedule_arrival = spy.__get__(network)
+        monkeypatch.setattr(InputVC, "accept_flit", spy)
         packets = [
             Packet(PacketType.REQUEST, 0, 15),
             Packet(PacketType.RESPONSE, 0, 15, line=b"\x00" * 64),
         ]
-        send_and_drain(network, packets)
-        assert seen_vcs[0] <= {0}
-        assert seen_vcs[1] <= {1}
-
+        assert len(send_and_drain(network, packets)) == 2
+        assert seen_vcs == {0: {0}, 1: {1}}
 
     def test_packet_on_a_missing_vnet_is_rejected(self):
         """A one-vnet network refuses a response (vnet 1) at the NI before

@@ -16,7 +16,6 @@ import signal
 import subprocess
 import sys
 import time
-import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from repro.experiments.runner import (
     spec_key,
 )
 from repro.service import CampaignService
+from repro.settings import SettingsError
 
 #: Small enough to keep each simulation around a tenth of a second.
 QUICK = dict(workload="x264", accesses_per_core=40)
@@ -56,7 +56,6 @@ def _fresh_caches(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_WATCHDOG_SECONDS", raising=False)
     monkeypatch.delenv("REPRO_HEARTBEAT_DIR", raising=False)
     monkeypatch.delenv("REPRO_SIM_LOG", raising=False)
-    monkeypatch.setattr(runner, "_JOBS_WARNED", False)
     clear_cache()
     yield
     clear_cache()
@@ -314,17 +313,18 @@ class TestParallel:
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert default_jobs() == 1
         monkeypatch.setenv("REPRO_JOBS", "junk")
-        with pytest.warns(RuntimeWarning):
-            assert default_jobs() == (os.cpu_count() or 1)
+        with pytest.raises(SettingsError, match="REPRO_JOBS 'junk'"):
+            default_jobs()
+        monkeypatch.delenv("REPRO_JOBS")
+        assert default_jobs() == (os.cpu_count() or 1)
 
-    def test_default_jobs_warns_once_on_invalid_value(self, monkeypatch):
+    def test_default_jobs_rejects_an_invalid_value(self, monkeypatch):
+        """A typo'd pin raises, naming the variable and the value, every
+        time: it never fans out across every core instead."""
         monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOBS='many'"):
-            assert default_jobs() == (os.cpu_count() or 1)
-        # One-time: the fallback stays, the nagging does not.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_jobs() == (os.cpu_count() or 1)
+        for _ in range(2):
+            with pytest.raises(SettingsError, match="REPRO_JOBS 'many'"):
+                default_jobs()
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_PERF_TESTS") != "1",
@@ -512,7 +512,6 @@ class _FailureContainmentCases(_EntryPoint):
         monkeypatch.setenv(
             "REPRO_RUNNER_FAULT", f"hang-once:disco:dedup:{marker}"
         )
-        monkeypatch.setenv("REPRO_RUNNER_HANG_SECONDS", "3")
         monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "1.0")
         start = time.perf_counter()
         out = self.run(self.SPECS, monkeypatch)
@@ -655,9 +654,12 @@ class TestRetryBackoff:
         for _ in range(20):
             assert 0.1 <= runner.retry_backoff() <= 0.3
 
-    def test_unparseable_value_falls_back_to_default(self, monkeypatch):
+    def test_unparseable_value_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "soon-ish")
-        assert 0.05 <= runner.retry_backoff() <= 0.15
+        with pytest.raises(
+            SettingsError, match="REPRO_RETRY_BACKOFF 'soon-ish'"
+        ):
+            runner.retry_backoff()
 
     def test_spec_seeded_jitter_is_reproducible(self, monkeypatch):
         """Given a spec, the jitter comes from a generator seeded by its

@@ -478,6 +478,25 @@ class TestCampaignService:
             for reason in detail["reasons"]
         ) is not ready
 
+    def test_the_watchdog_writes_no_environment(self, monkeypatch):
+        """With only ``REPRO_WATCHDOG_SECONDS`` set, the service leaves
+        ``os.environ`` alone: the pool workers derive the heartbeat
+        directory, ``<cache_dir>/heartbeats``, from the settings they
+        inherit, and beat there."""
+        monkeypatch.setenv("REPRO_WATCHDOG_SECONDS", "60")
+        beats = runner.cache_dir() / "heartbeats"
+        with running_service() as service:
+            assert "REPRO_HEARTBEAT_DIR" not in os.environ
+            job = service.submit(
+                specs=[RunSpec(scheme="baseline", **QUICK)], client="c"
+            )
+            _, failures, _ = _collect(job)
+            _, detail = service.ready()
+        assert not failures
+        assert "REPRO_HEARTBEAT_DIR" not in os.environ
+        assert detail["heartbeats"]["dir"] == str(beats)
+        assert list(beats.glob("hb_*.json"))
+
     def test_counters_flow_through_the_registry(self):
         with running_service(workers=1) as service:
             job = service.submit(

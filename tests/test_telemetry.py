@@ -21,6 +21,7 @@ from repro.experiments.report import render_heatmap, render_histogram
 from repro.experiments.runner import QUICK_ACCESSES, RunSpec, run_spec, run_specs
 from repro.noc import Network, NocConfig
 from repro.noc.flit import Packet, PacketType
+from repro.settings import SettingsError, settings
 from repro.sim.kernel import SimKernel
 from repro.telemetry import (
     PacketTracer,
@@ -45,7 +46,6 @@ from repro.telemetry.export import (
 from repro.telemetry.log import (
     ensure_level,
     get_logger,
-    level_from_env,
     reset_for_tests,
 )
 
@@ -390,13 +390,14 @@ class TestLogger:
 
     def test_level_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_LOG_LEVEL", raising=False)
-        assert level_from_env() == logging.WARNING
+        assert settings().log_level == logging.WARNING
         monkeypatch.setenv("REPRO_LOG_LEVEL", "debug")
-        assert level_from_env() == logging.DEBUG
+        assert settings().log_level == logging.DEBUG
         monkeypatch.setenv("REPRO_LOG_LEVEL", "15")
-        assert level_from_env() == 15
+        assert settings().log_level == 15
         monkeypatch.setenv("REPRO_LOG_LEVEL", "bogus")
-        assert level_from_env() == logging.WARNING
+        with pytest.raises(SettingsError, match="REPRO_LOG_LEVEL 'bogus'"):
+            settings()
 
     def test_logger_tree_and_format(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_LOG_LEVEL", "INFO")
